@@ -8,9 +8,7 @@
 #![deny(missing_docs)]
 
 pub mod harness;
-pub mod latency;
 
 pub use harness::{
     build_model, default_scale, paper_models, run_model, trial_seeds, ModelKind, RunResult,
 };
-pub use latency::LatencyHistogram;

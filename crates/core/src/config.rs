@@ -95,8 +95,8 @@ pub struct DistHdConfig {
     /// `disthd_hd::encoder::StructuredRbfEncoder`).
     pub encoder_backend: EncoderBackend,
     /// Butterfly pass order of the structured backend's Walsh–Hadamard
-    /// transforms (ignored by the dense backend).  Defaults to the
-    /// `DISTHD_FHT_SCHEDULE` environment knob.  Schedules differ only in
+    /// transforms (ignored by the dense backend).  Defaults to
+    /// [`FhtSchedule::Ascending`].  Schedules differ only in
     /// floating-point rounding; each is bit-deterministic across kernel
     /// tiers and thread counts, and the choice is never persisted — DHD
     /// artifact bytes are schedule-independent.
@@ -115,7 +115,7 @@ impl Default for DistHdConfig {
             patience: Some(6),
             seed: RngSeed::default(),
             encoder_backend: EncoderBackend::default(),
-            fht_schedule: FhtSchedule::from_env(),
+            fht_schedule: FhtSchedule::default(),
         }
     }
 }

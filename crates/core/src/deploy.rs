@@ -773,7 +773,9 @@ mod tests {
         // The all-integer pipeline quantizes the query side too, so it may
         // legitimately flip near-ties against the mixed f32-query pipeline
         // — but agreement must stay high at every width and the resulting
-        // accuracy must not collapse.
+        // accuracy must not collapse.  The fused quantize epilogue replaces
+        // encode → center → quantize, so the integer predictions must equal
+        // scoring the round trip's codes exactly.
         let (model, data) = trained();
         let n = data.test.len();
         let all: Vec<usize> = (0..n).collect();
@@ -783,6 +785,17 @@ mod tests {
             let f32_preds = deployed.predict_batch(&queries).unwrap();
             let int_preds = deployed.predict_quantized_batch(&queries).unwrap();
             assert_eq!(int_preds.len(), n);
+            let mut encoded = deployed.encoder_parts().encode_batch(&queries).unwrap();
+            deployed.center_parts().apply_batch(&mut encoded);
+            let mut inv_norms = Vec::new();
+            deployed.memory_parts().code_inv_norms_into(&mut inv_norms);
+            let round_trip = packed_predict_batch(
+                &QuantizedMatrix::quantize(&encoded, width),
+                deployed.memory_parts(),
+                &inv_norms,
+            )
+            .unwrap();
+            assert_eq!(int_preds, round_trip, "{width}: fused vs round trip");
             let agree = f32_preds
                 .iter()
                 .zip(&int_preds)

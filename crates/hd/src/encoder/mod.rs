@@ -132,18 +132,6 @@ pub enum EncoderBackend {
     Structured,
 }
 
-impl EncoderBackend {
-    /// Parses a backend name as used by `DISTHD_ENCODER` and the bench
-    /// bins (`"dense"` / `"structured"`, case-insensitive).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "dense" => Some(Self::Dense),
-            "structured" => Some(Self::Structured),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for EncoderBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -373,15 +361,9 @@ mod backend_tests {
     use super::*;
 
     #[test]
-    fn backend_parse_and_display_round_trip() {
-        for backend in [EncoderBackend::Dense, EncoderBackend::Structured] {
-            assert_eq!(EncoderBackend::parse(&backend.to_string()), Some(backend));
-        }
-        assert_eq!(
-            EncoderBackend::parse(" Structured "),
-            Some(EncoderBackend::Structured)
-        );
-        assert_eq!(EncoderBackend::parse("fastfood"), None);
+    fn backend_displays_and_defaults_to_dense() {
+        assert_eq!(EncoderBackend::Dense.to_string(), "dense");
+        assert_eq!(EncoderBackend::Structured.to_string(), "structured");
         assert_eq!(EncoderBackend::default(), EncoderBackend::Dense);
     }
 

@@ -106,10 +106,9 @@ struct BlockSpec {
 ///
 /// ## Schedules and pruning
 ///
-/// The butterfly pass order is a process-wide knob
-/// ([`FhtSchedule::from_env`], overridable per encoder via
-/// [`StructuredRbfEncoder::set_fht_schedule`]); it is never persisted, so
-/// DHD artifacts are schedule-independent.  Under the default ascending
+/// The butterfly pass order defaults to [`FhtSchedule::Ascending`] and is
+/// set per encoder via [`StructuredRbfEncoder::set_fht_schedule`]; it is
+/// never persisted, so DHD artifacts are schedule-independent.  Under the default ascending
 /// schedule the third transform of every block runs with a final-stage
 /// [`FhtPrunePlan`] that elides butterflies whose both output lanes are
 /// dead — evicted to the dense overlay or beyond the consumed output
@@ -320,7 +319,7 @@ impl StructuredRbfEncoder {
             overlay_dims: Vec::new(),
             overlay_rows: Matrix::zeros(0, input_dim),
             overlay_cols: Matrix::zeros(input_dim, 0),
-            schedule: FhtSchedule::from_env(),
+            schedule: FhtSchedule::default(),
             prune_enabled: true,
             prune_plans: Vec::new(),
             live_runs: Vec::new(),
@@ -401,7 +400,7 @@ impl StructuredRbfEncoder {
     }
 
     /// Overrides the butterfly pass order (defaults to
-    /// [`FhtSchedule::from_env`] at construction).  Schedules differ in
+    /// [`FhtSchedule::Ascending`] at construction).  Schedules differ in
     /// floating-point rounding, so encoded values change in the low bits;
     /// each schedule is bit-deterministic within itself across tiers and
     /// thread counts.
@@ -512,7 +511,7 @@ impl StructuredRbfEncoder {
             overlay_dims,
             overlay_rows,
             overlay_cols,
-            schedule: FhtSchedule::from_env(),
+            schedule: FhtSchedule::default(),
             prune_enabled: true,
             prune_plans: Vec::new(),
             live_runs: Vec::new(),

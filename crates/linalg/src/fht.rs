@@ -63,7 +63,6 @@
 //!   `CascadingHaar` the final stage has stride 1 and its pairs do not map
 //!   onto the lane mask the same way); plans are ignored there.
 
-use std::str::FromStr;
 use std::sync::OnceLock;
 
 /// Largest sub-transform run to completion inside one cache block:
@@ -270,9 +269,8 @@ unsafe fn cross_pass_avx2(data: &mut [f32], stride: usize) {
 /// matrices commute), but floating-point rounding differs between
 /// schedules, so each is bit-deterministic **within itself** — across
 /// tiers, blockings and thread counts — while two schedules generally
-/// disagree in the low bits.  Selected process-wide through the
-/// `DISTHD_FHT_SCHEDULE` environment variable (see
-/// [`FhtSchedule::from_env`]); never persisted, so model artifacts are
+/// disagree in the low bits.  Chosen per encoder (the default is
+/// [`FhtSchedule::Ascending`]); never persisted, so model artifacts are
 /// schedule-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FhtSchedule {
@@ -288,43 +286,12 @@ pub enum FhtSchedule {
     CascadingHaar,
 }
 
-impl FhtSchedule {
-    /// Canonical knob spelling (`ascending` / `cascading-haar`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FhtSchedule::Ascending => "ascending",
-            FhtSchedule::CascadingHaar => "cascading-haar",
-        }
-    }
-
-    /// Resolves the schedule from `DISTHD_FHT_SCHEDULE` (defaults to
-    /// [`FhtSchedule::Ascending`]; unrecognized values fall back to the
-    /// default rather than aborting encodes mid-flight).
-    pub fn from_env() -> Self {
-        std::env::var("DISTHD_FHT_SCHEDULE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
-    }
-}
-
 impl std::fmt::Display for FhtSchedule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for FhtSchedule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ascending" | "asc" => Ok(FhtSchedule::Ascending),
-            "cascading-haar" | "cascading_haar" | "haar" => Ok(FhtSchedule::CascadingHaar),
-            other => Err(format!(
-                "unknown FHT schedule {other:?} (expected `ascending` or `cascading-haar`)"
-            )),
-        }
+        f.write_str(match self {
+            FhtSchedule::Ascending => "ascending",
+            FhtSchedule::CascadingHaar => "cascading-haar",
+        })
     }
 }
 
@@ -1180,11 +1147,8 @@ mod tests {
     }
 
     #[test]
-    fn schedule_knob_parses_and_displays() {
-        assert_eq!("ascending".parse(), Ok(FhtSchedule::Ascending));
-        assert_eq!("cascading-haar".parse(), Ok(FhtSchedule::CascadingHaar));
-        assert_eq!("HAAR".parse(), Ok(FhtSchedule::CascadingHaar));
-        assert!("sideways".parse::<FhtSchedule>().is_err());
+    fn schedule_displays_and_defaults_to_ascending() {
+        assert_eq!(FhtSchedule::Ascending.to_string(), "ascending");
         assert_eq!(FhtSchedule::CascadingHaar.to_string(), "cascading-haar");
         assert_eq!(FhtSchedule::default(), FhtSchedule::Ascending);
     }

@@ -15,11 +15,11 @@
 //! hung), while the queue itself — guarded by locks the fault never holds
 //! — stays consistent for the restarted worker.
 //!
-//! The same plan drives the `DISTHD_CHAOS_SECS` soak phase of the
-//! `serve_throughput` bench bin, where it is paired with corrupt-snapshot
-//! installs ([`crate::SnapshotStore::flip_stored_bit`]) and class-memory
-//! bit flips (`DeployedModel::inject_faults`).  Everything is keyed off
-//! one `u64` seed, so a failing chaos run is replayable bit-for-bit.
+//! [`ChaosPlan::seeded`] drives the combined soak in the crate's `chaos`
+//! integration tests, where it is paired with corrupt-snapshot restores
+//! ([`crate::SnapshotStore::flip_stored_bit`]) and class-memory bit flips
+//! (`DeployedModel::inject_faults`).  Everything is keyed off one `u64`
+//! seed, so a failing chaos run is replayable bit-for-bit.
 
 use disthd_linalg::{RngSeed, SeededRng};
 use std::panic::resume_unwind;

@@ -5,13 +5,6 @@
 //! artifact (checksummed `DHD4` container, see `disthd::io`) and live
 //! classification traffic.
 //!
-//! * [`ServeEngine`] — a synchronous **request-batching engine**: single
-//!   queries accumulate in a queue and are answered together through one
-//!   batched encode GEMM + one integer-similarity pass that reads the
-//!   quantized class words directly (the deployment keeps **no** `f32`
-//!   class snapshot — see `disthd::DeployedModel`), all on the
-//!   deterministic compute backend.  Predictions are bit-identical at
-//!   every batch window; only throughput changes.
 //! * [`BatchPolicy`] — the latency-vs-throughput knob (batch window +
 //!   patience bound).
 //! * [`TaskKind`] / [`TaskResponse`] — serving **task types** on the same
@@ -21,11 +14,16 @@
 //!   at flush time, so no answer ever depends on batch composition.
 //! * [`Server`] / [`ServerClient`] — the live, **sharded** server: N
 //!   worker threads (one per shard), each pulling batches from its own
-//!   queue with work stealing, so qps scales with cores.  Admission
-//!   control sheds requests when a queue is at capacity
-//!   ([`ServerOptions::queue_capacity`]) or past their opt-in deadline
-//!   ([`SubmitOptions::deadline`]), and [`RetryPolicy`] adds bounded,
-//!   deterministically-jittered client retry on overload.  Workers run
+//!   queue with work stealing, so qps scales with cores.  Each batch is
+//!   answered through one batched encode + one similarity pass that reads
+//!   the quantized class words directly (the deployment keeps **no**
+//!   `f32` class snapshot — see `disthd::DeployedModel`); answers are
+//!   bit-identical to the direct `DeployedModel` batch APIs at every batch
+//!   window and shard count.  Admission control sheds requests when a
+//!   queue is at capacity ([`ServerOptions::queue_capacity`]) or past
+//!   their opt-in deadline ([`SubmitOptions::deadline`]), and
+//!   [`RetryPolicy`] adds bounded, deterministically-jittered client
+//!   retry on overload.  Workers run
 //!   **supervised**: a scoring panic fails its batch's tickets with
 //!   [`ServeError::WorkerFailed`] and the worker restarts (bounded, with
 //!   backoff) instead of killing the server.  Pair with
@@ -46,7 +44,7 @@
 //! ## Serving quickstart
 //!
 //! ```
-//! use disthd_serve::{BatchPolicy, ServeEngine, SnapshotStore};
+//! use disthd_serve::{BatchPolicy, Server, SnapshotStore};
 //!
 //! // In production the artifact comes off disk or the network; here we
 //! // train a tiny one.
@@ -54,35 +52,33 @@
 //! let mut snapshots = SnapshotStore::new(8);
 //! let v0 = snapshots.push(&deployment)?;
 //!
-//! // Batch window 32: up to 32 queries share each batched pass.
-//! let mut engine = ServeEngine::new(deployment, BatchPolicy::window(32));
+//! // Batch window 32: up to 32 queued queries share each batched pass.
+//! let server = Server::spawn(deployment, BatchPolicy::window(32));
+//! let client = server.client();
 //! for query in disthd_serve::testkit::tiny_queries(100) {
-//!     let _class = engine.predict_one(&query)?;
+//!     let _class = client.predict(&query)?;
 //! }
-//! assert_eq!(engine.stats().served, 100);
 //!
 //! // Roll back to the snapshot if an online update misbehaves.
-//! engine.install_model(snapshots.restore(v0)?)?;
+//! client.install_model(snapshots.restore(v0)?)?;
+//! assert_eq!(server.shutdown()?.served, 100);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The serving workload is measured by `cargo run --release -p
-//! disthd_bench --bin serve_throughput` (queries/sec vs batch window;
-//! results in `BENCH_serve.json`), and `examples/streaming_serving.rs`
-//! walks the full serve → stream → hot-swap → rollback lifecycle.
+//! `examples/streaming_serving.rs` walks the full serve → stream →
+//! hot-swap → rollback lifecycle; the serving workloads are measured by
+//! the repository benchmark (`perfbench/README.md`).
 
 #![deny(missing_docs)]
 
+mod batch;
 mod chaos;
-mod engine;
 mod publish;
 mod server;
 mod snapshot;
 
+pub use batch::{AnomalyVerdict, BatchPolicy, TaskKind, TaskResponse};
 pub use chaos::ChaosPlan;
-pub use engine::{
-    AnomalyVerdict, BatchPolicy, EngineStats, ServeEngine, TaskKind, TaskResponse, Ticket,
-};
 pub use publish::{ModelReader, PublishedModel};
 pub use server::{
     Prediction, RetryPolicy, ServeError, Server, ServerClient, ServerOptions, ServerStats,
@@ -157,211 +153,117 @@ mod tests {
     const KIND_CYCLE: [TaskKind; 3] = [TaskKind::Classify, TaskKind::TopK, TaskKind::Anomaly];
 
     #[test]
-    fn task_responses_are_bit_identical_across_batch_windows() {
-        // The headline serving invariant, extended to the new task types:
-        // whatever window (and task mix) a query shares, its answer —
-        // class, full ranking, or anomaly score — must not move by a bit,
-        // on both scoring pipelines.
+    fn task_batches_match_the_direct_model_apis_at_every_window_and_thread_count() {
+        // The headline serving invariant: whatever window, task mix and
+        // kernel thread count a query is scored under, its answer — class,
+        // full ranking, or anomaly score — equals the direct DeployedModel
+        // batch API bit for bit, on both scoring pipelines.
         let deployment = tasked_deployment(2, 0.5);
         let queries = testkit::tiny_queries(60);
-        let serve = |window: usize, integer: bool| -> Vec<TaskResponse> {
-            let mut engine = ServeEngine::new(deployment.clone(), BatchPolicy::window(window))
-                .with_integer_pipeline(integer);
-            let tickets: Vec<_> = queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| engine.submit_task(q, KIND_CYCLE[i % 3]).unwrap())
-                .collect();
-            engine.flush().unwrap();
-            tickets
-                .into_iter()
-                .map(|t| engine.try_take_response(t).unwrap())
-                .collect()
-        };
+        let rows: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        let kinds: Vec<TaskKind> = (0..rows.len()).map(|i| KIND_CYCLE[i % 3]).collect();
+        let all = Matrix::from_row_slices(rows[0].len(), &rows).unwrap();
         for integer in [false, true] {
-            let baseline = serve(1, integer);
-            for window in [2usize, 8, 32, 128] {
-                assert_eq!(
-                    serve(window, integer),
-                    baseline,
-                    "window {window}, integer {integer}"
-                );
+            let (classes, ranks, scores) = if integer {
+                (
+                    deployment.predict_quantized_batch(&all).unwrap(),
+                    deployment.top_k_quantized_batch(&all, 2).unwrap(),
+                    deployment.anomaly_scores_quantized(&all).unwrap(),
+                )
+            } else {
+                (
+                    deployment.predict_batch(&all).unwrap(),
+                    deployment.top_k_batch(&all, 2).unwrap(),
+                    deployment.anomaly_scores(&all).unwrap(),
+                )
+            };
+            for window in [1usize, 2, 8, 32, 128] {
+                for threads in [1usize, 2, 8] {
+                    let served: Vec<TaskResponse> =
+                        disthd_linalg::parallel::with_thread_count(threads, || {
+                            rows.chunks(window)
+                                .zip(kinds.chunks(window))
+                                .flat_map(|(rows, kinds)| {
+                                    batch::score_task_batch(
+                                        &deployment,
+                                        integer,
+                                        all.cols(),
+                                        rows,
+                                        kinds,
+                                    )
+                                    .unwrap()
+                                })
+                                .collect()
+                        });
+                    for (r, response) in served.into_iter().enumerate() {
+                        let tag = format!(
+                            "row {r}, window {window}, {threads} threads, integer {integer}"
+                        );
+                        match (kinds[r], response) {
+                            (TaskKind::Classify, TaskResponse::Class(class)) => {
+                                assert_eq!(class, classes[r], "{tag}");
+                            }
+                            (TaskKind::TopK, TaskResponse::Ranked(ranked)) => {
+                                assert_eq!(ranked, ranks[r], "{tag}");
+                            }
+                            (TaskKind::Anomaly, TaskResponse::Anomaly(verdict)) => {
+                                assert_eq!(verdict.score.to_bits(), scores[r].to_bits(), "{tag}");
+                                assert_eq!(verdict.anomalous, verdict.score < 0.5, "{tag}");
+                            }
+                            (kind, response) => {
+                                panic!("{tag}: {kind:?} answered with {response:?}")
+                            }
+                        }
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn mixed_batches_match_the_direct_model_apis() {
-        // One coalesced flush of interleaved kinds must answer each query
-        // exactly like the matching DeployedModel batch API — the classify
-        // sub-batch in particular keeps its historical path.
-        let deployment = tasked_deployment(3, 0.4);
-        let queries = queries_matrix(30);
-        let expected_classes = deployment.predict_batch(&queries).unwrap();
-        let expected_ranks = deployment.top_k_batch(&queries, 3).unwrap();
-        let expected_scores = deployment.anomaly_scores(&queries).unwrap();
-        let mut engine = ServeEngine::new(deployment, BatchPolicy::window(256));
-        let mut tickets = Vec::new();
-        for r in 0..queries.rows() {
-            let kind = KIND_CYCLE[r % 3];
-            tickets.push((r, kind, engine.submit_task(queries.row(r), kind).unwrap()));
-        }
-        engine.flush().unwrap();
-        for (r, kind, ticket) in tickets {
-            match (kind, engine.try_take_response(ticket).unwrap()) {
-                (TaskKind::Classify, TaskResponse::Class(class)) => {
-                    assert_eq!(class, expected_classes[r], "row {r}");
-                }
-                (TaskKind::TopK, TaskResponse::Ranked(ranks)) => {
-                    assert_eq!(ranks, expected_ranks[r], "row {r}");
-                }
-                (TaskKind::Anomaly, TaskResponse::Anomaly(verdict)) => {
-                    assert_eq!(
-                        verdict.score.to_bits(),
-                        expected_scores[r].to_bits(),
-                        "row {r}"
-                    );
-                    assert_eq!(verdict.anomalous, verdict.score < 0.4, "row {r}");
-                }
-                (kind, response) => panic!("{kind:?} answered with {response:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn classify_try_take_leaves_other_kinds_for_try_take_response() {
-        let mut engine = ServeEngine::new(tasked_deployment(2, 0.0), BatchPolicy::window(8));
-        let q = testkit::tiny_queries(1).remove(0);
-        let ticket = engine.submit_task(&q, TaskKind::TopK).unwrap();
-        engine.flush().unwrap();
-        assert_eq!(
-            engine.try_take(ticket),
-            None,
-            "classify redemption must not consume a ranking"
-        );
-        assert!(matches!(
-            engine.try_take_response(ticket),
-            Some(TaskResponse::Ranked(ranks)) if ranks.len() == 2
-        ));
-        // One-shot conveniences agree with the classify path.
-        let ranks = engine.rank_one(&q).unwrap();
-        assert_eq!(ranks.len(), 2);
-        assert_eq!(ranks[0], engine.predict_one(&q).unwrap());
-        let verdict = engine.score_anomaly_one(&q).unwrap();
-        assert_eq!(verdict.anomalous, verdict.score < 0.0);
-    }
-
-    #[test]
-    fn unconfigured_models_default_to_k1_and_never_flag() {
-        let mut engine = ServeEngine::new(testkit::tiny_deployment(), BatchPolicy::window(2));
-        let q = testkit::tiny_queries(1).remove(0);
-        let ranks = engine.rank_one(&q).unwrap();
-        assert_eq!(ranks, vec![engine.predict_one(&q).unwrap()]);
-        assert!(!engine.score_anomaly_one(&q).unwrap().anomalous);
-    }
-
-    #[test]
-    fn persisted_task_configuration_serves_after_load() {
-        // A DHD3 artifact carries its task section into a fresh engine:
-        // the loaded k and threshold drive serving without reconfiguration.
+    fn persisted_deployment_serves_like_the_original_after_load() {
+        // A DHD artifact carries its class memory and task section into a
+        // fresh server: the loaded k and threshold drive serving without
+        // reconfiguration, and every answer matches the original model.
         let deployment = tasked_deployment(2, 0.9);
         let mut bytes = Vec::new();
         disthd::io::save_deployed(&deployment, &mut bytes).unwrap();
-        let mut engine = ServeEngine::load(bytes.as_slice(), BatchPolicy::window(4)).unwrap();
-        assert_eq!(engine.model().tasks().top_k, Some(2));
-        let q = testkit::tiny_queries(1).remove(0);
-        assert_eq!(engine.rank_one(&q).unwrap().len(), 2);
-        let solo = Matrix::from_row_slices(q.len(), &[&q]).unwrap();
-        let direct = deployment.anomaly_scores(&solo).unwrap()[0];
-        let verdict = engine.score_anomaly_one(&q).unwrap();
-        assert_eq!(verdict.score.to_bits(), direct.to_bits());
-        assert_eq!(verdict.anomalous, direct < 0.9);
-    }
-
-    #[test]
-    fn batched_predictions_are_bit_identical_across_windows() {
-        let deployment = testkit::tiny_deployment();
-        let queries = queries_matrix(97);
-        let baseline = ServeEngine::new(deployment.clone(), BatchPolicy::window(1))
-            .serve_all(&queries)
-            .unwrap();
-        for window in [2usize, 8, 32, 128] {
-            let served = ServeEngine::new(deployment.clone(), BatchPolicy::window(window))
-                .serve_all(&queries)
-                .unwrap();
-            assert_eq!(baseline, served, "window {window}");
+        let loaded = disthd::io::load_deployed(bytes.as_slice()).unwrap();
+        assert_eq!(loaded.tasks().top_k, Some(2));
+        let queries = queries_matrix(20);
+        let classes = deployment.predict_batch(&queries).unwrap();
+        let scores = deployment.anomaly_scores(&queries).unwrap();
+        let server = Server::spawn(loaded, BatchPolicy::window(4));
+        let client = server.client();
+        for r in 0..queries.rows() {
+            let q = queries.row(r);
+            assert_eq!(client.predict(q).unwrap(), classes[r], "row {r}");
+            let ranks = client.rank(q).unwrap();
+            assert_eq!((ranks.len(), ranks[0]), (2, classes[r]), "row {r}");
+            let verdict = client.score_anomaly(q).unwrap();
+            assert_eq!(verdict.score.to_bits(), scores[r].to_bits(), "row {r}");
+            assert_eq!(verdict.anomalous, scores[r] < 0.9, "row {r}");
         }
-    }
-
-    #[test]
-    fn submit_auto_flushes_at_the_window() {
-        let mut engine = ServeEngine::new(testkit::tiny_deployment(), BatchPolicy::window(3));
-        let queries = testkit::tiny_queries(3);
-        let t0 = engine.submit(&queries[0]).unwrap();
-        assert_eq!(engine.pending_len(), 1);
-        assert_eq!(engine.try_take(t0), None, "not flushed yet");
-        engine.submit(&queries[1]).unwrap();
-        engine.submit(&queries[2]).unwrap();
-        assert_eq!(engine.pending_len(), 0, "window filled, auto-flush");
-        assert!(engine.try_take(t0).is_some());
-        assert_eq!(engine.try_take(t0), None, "tickets redeem once");
-        assert_eq!(engine.stats().flushes, 1);
+        server.shutdown().unwrap();
     }
 
     #[test]
     fn malformed_query_is_rejected_without_poisoning_the_queue() {
-        let mut engine = ServeEngine::new(testkit::tiny_deployment(), BatchPolicy::window(4));
+        let server = Server::spawn(testkit::tiny_deployment(), BatchPolicy::window(4));
+        let client = server.client();
         let good = testkit::tiny_queries(1).remove(0);
-        let t = engine.submit(&good).unwrap();
-        assert!(engine.submit(&[1.0, 2.0]).is_err());
-        engine.flush().unwrap();
-        assert!(engine.try_take(t).is_some());
-    }
-
-    #[test]
-    fn engine_round_trips_through_dhd1() {
-        let deployment = testkit::tiny_deployment();
-        let mut bytes = Vec::new();
-        disthd::io::save_deployed(&deployment, &mut bytes).unwrap();
-        let mut loaded = ServeEngine::load(bytes.as_slice(), BatchPolicy::window(16)).unwrap();
-        let mut direct = ServeEngine::new(deployment, BatchPolicy::window(16));
-        let queries = queries_matrix(20);
-        assert_eq!(
-            loaded.serve_all(&queries).unwrap(),
-            direct.serve_all(&queries).unwrap()
-        );
-    }
-
-    #[test]
-    fn hot_swap_answers_queued_queries_with_the_old_memory() {
-        let deployment = testkit::tiny_deployment();
-        let k = deployment.class_count();
-        let dim = deployment.memory_parts().shape().1;
-        let mut engine = ServeEngine::new(deployment, BatchPolicy::window(64));
-        let queries = testkit::tiny_queries(5);
-        let tickets: Vec<_> = queries.iter().map(|q| engine.submit(q).unwrap()).collect();
-        let old_served: Vec<usize> = {
-            let mut reference =
-                ServeEngine::new(testkit::tiny_deployment(), BatchPolicy::window(1));
-            queries
-                .iter()
-                .map(|q| reference.predict_one(q).unwrap())
-                .collect()
-        };
-        // Degenerate memory that maps everything to one class.
-        let constant = QuantizedMatrix::quantize(&Matrix::filled(k, dim, 1.0), BitWidth::B8);
-        engine.swap_class_memory(constant).unwrap();
-        for (t, expected) in tickets.iter().zip(&old_served) {
-            assert_eq!(engine.try_take(*t), Some(*expected));
-        }
-        // New queries see the swapped (constant) memory: every class row is
-        // identical, so argmax resolves to class 0.
-        assert_eq!(engine.predict_one(&queries[0]).unwrap(), 0);
+        let pending = client.submit(&good).unwrap();
+        assert!(matches!(
+            client.submit(&[1.0, 2.0]),
+            Err(ServeError::Model(_))
+        ));
+        assert!(pending.wait().is_ok());
+        server.shutdown().unwrap();
     }
 
     #[test]
     fn install_model_rejects_arity_mismatch() {
-        let mut engine = ServeEngine::new(testkit::tiny_deployment(), BatchPolicy::default());
+        let server = Server::spawn(testkit::tiny_deployment(), BatchPolicy::default());
         let data = disthd_datasets::suite::PaperDataset::Pamap2
             .generate(&disthd_datasets::suite::SuiteConfig::at_scale(0.001))
             .unwrap();
@@ -377,14 +279,19 @@ mod tests {
         );
         disthd_eval::Classifier::fit(&mut other, &data.train, None).unwrap();
         let other = disthd::DeployedModel::freeze(&other, BitWidth::B8).unwrap();
-        assert!(engine.install_model(other).is_err());
+        assert!(matches!(
+            server.client().install_model(other),
+            Err(ServeError::Model(_))
+        ));
+        server.shutdown().unwrap();
     }
 
     #[test]
     fn server_serves_concurrent_clients_and_shuts_down_cleanly() {
-        let server = Server::spawn(testkit::tiny_deployment(), BatchPolicy::window(8));
+        let deployment = testkit::tiny_deployment();
+        let expected = deployment.predict_batch(&queries_matrix(24)).unwrap();
+        let server = Server::spawn(deployment, BatchPolicy::window(8));
         let queries = testkit::tiny_queries(24);
-        let mut expected = ServeEngine::new(testkit::tiny_deployment(), BatchPolicy::window(1));
         let answers: Vec<usize> = std::thread::scope(|s| {
             let handles: Vec<_> = queries
                 .iter()
@@ -395,12 +302,9 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for (q, a) in queries.iter().zip(&answers) {
-            assert_eq!(expected.predict_one(q).unwrap(), *a);
-        }
+        assert_eq!(answers, expected);
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.served, 24);
-        // Clients created before shutdown observe the disconnect.
     }
 
     #[test]

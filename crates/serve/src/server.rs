@@ -4,8 +4,7 @@
 //! owns a batch queue; clients are dealt across the queues round-robin,
 //! and an idle worker steals the oldest queued work from the deepest
 //! other queue, so throughput scales with cores instead of serializing
-//! behind one dispatcher thread (the pre-shard design topped out at one
-//! engine regardless of load — see `DESIGN.md` §9).
+//! behind one dispatcher thread (see `DESIGN.md` §9).
 //!
 //! The model itself is **published, not locked**: workers read an
 //! epoch-versioned snapshot ([`crate::PublishedModel`]) that hot-swap and
@@ -28,8 +27,8 @@
 //! flushes ([`ServeError::DeadlineExceeded`]) rather than serving answers
 //! the client has already abandoned.
 
+use crate::batch::{score_task_batch, AnomalyVerdict, BatchPolicy, TaskKind, TaskResponse};
 use crate::chaos::ChaosPlan;
-use crate::engine::{score_task_batch, AnomalyVerdict, BatchPolicy, TaskKind, TaskResponse};
 use crate::publish::PublishedModel;
 use disthd::DeployedModel;
 use disthd_eval::ModelError;
@@ -111,9 +110,7 @@ impl From<ModelError> for ServeError {
 pub struct ServerOptions {
     /// Number of shard workers (≥ 1).  Each worker scores batches
     /// independently against the published snapshot, so qps scales with
-    /// shards until the machine runs out of cores.  The default resolves
-    /// `DISTHD_SERVE_SHARDS`, falling back to 1 (the single-worker
-    /// behaviour of the pre-shard server).
+    /// shards until the machine runs out of cores.  Defaults to 1.
     pub shards: usize,
     /// Per-shard admission bound: a predict request targeting a shard whose
     /// queue already holds this many waiting queries is shed with
@@ -124,9 +121,8 @@ pub struct ServerOptions {
     /// ([`DeployedModel::predict_quantized_batch`]): the fused quantize
     /// epilogue packs encoded queries at the class memory's storage width
     /// and similarity runs on XOR+popcount (1-bit) or widening integer
-    /// dots — no `f32` hypervector after featurization.  The default
-    /// resolves `DISTHD_SERVE_INT` (`1`/`true`), falling back to the
-    /// f32-query scoring path.
+    /// dots — no `f32` hypervector after featurization.  Defaults to
+    /// `false`, the f32-query scoring path.
     pub integer_pipeline: bool,
     /// How many times a shard's supervisor restarts a panicked worker
     /// before declaring the shard dead (failing its queue with
@@ -142,18 +138,10 @@ const DEFAULT_MAX_WORKER_RESTARTS: usize = 32;
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        let shards = std::env::var("DISTHD_SERVE_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
-        let integer_pipeline = std::env::var("DISTHD_SERVE_INT")
-            .map(|v| matches!(v.trim(), "1" | "true"))
-            .unwrap_or(false);
         Self {
-            shards,
+            shards: 1,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            integer_pipeline,
+            integer_pipeline: false,
             max_worker_restarts: DEFAULT_MAX_WORKER_RESTARTS,
         }
     }
@@ -715,8 +703,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts a server with [`ServerOptions::default`] (one shard unless
-    /// `DISTHD_SERVE_SHARDS` says otherwise).
+    /// Starts a server with [`ServerOptions::default`] (one shard).
     pub fn spawn(model: DeployedModel, policy: BatchPolicy) -> Self {
         Self::spawn_with(model, policy, ServerOptions::default())
     }
@@ -1225,17 +1212,17 @@ mod tests {
         assert_eq!(drained.len(), 4);
     }
 
+    /// `queries` as one row-per-query matrix, for the direct model APIs.
+    fn batch_of(queries: &[Vec<f32>]) -> Matrix {
+        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        Matrix::from_row_slices(queries[0].len(), &refs).unwrap()
+    }
+
     #[test]
     fn sharded_server_answers_identically_to_a_single_shard() {
         let deployment = testkit::tiny_deployment();
         let queries = testkit::tiny_queries(64);
-        let expected: Vec<usize> = {
-            let mut engine = crate::ServeEngine::new(deployment.clone(), BatchPolicy::window(1));
-            queries
-                .iter()
-                .map(|q| engine.predict_one(q).unwrap())
-                .collect()
-        };
+        let expected = deployment.predict_batch(&batch_of(&queries)).unwrap();
         for shards in [1usize, 2, 4] {
             let server = Server::spawn_sharded(deployment.clone(), BatchPolicy::window(8), shards);
             let client = server.client();
@@ -1250,21 +1237,15 @@ mod tests {
 
     #[test]
     fn integer_pipeline_matches_the_direct_quantized_batch_path() {
-        // The integer-pipeline server and engine must answer exactly like
+        // The integer-pipeline server must answer exactly like
         // DeployedModel::predict_quantized_batch: the fused encode is
         // per-row deterministic, so batching (and sharding) can never
         // change an answer.
         let deployment = testkit::tiny_deployment();
         let queries = testkit::tiny_queries(48);
-        let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let batch = Matrix::from_row_slices(queries[0].len(), &refs).unwrap();
-        let expected = deployment.predict_quantized_batch(&batch).unwrap();
-
-        let engine_answers = crate::ServeEngine::new(deployment.clone(), BatchPolicy::window(7))
-            .with_integer_pipeline(true)
-            .serve_all(&batch)
+        let expected = deployment
+            .predict_quantized_batch(&batch_of(&queries))
             .unwrap();
-        assert_eq!(engine_answers, expected, "integer engine");
 
         for shards in [1usize, 2] {
             let server = Server::spawn_with(
@@ -1287,10 +1268,10 @@ mod tests {
     }
 
     #[test]
-    fn task_endpoints_match_the_engine_across_shards() {
-        // The threaded server and the synchronous engine share one scorer,
-        // so rankings and anomaly verdicts must agree bit-for-bit however
-        // many shards the traffic is dealt across.
+    fn task_endpoints_match_the_direct_model_apis_across_shards() {
+        // Every shard scores through the batched DeployedModel APIs, so
+        // rankings and anomaly verdicts must agree bit-for-bit with them
+        // however many shards the traffic is dealt across.
         let mut deployment = testkit::tiny_deployment();
         deployment
             .set_tasks(disthd::ServingTasks {
@@ -1299,18 +1280,9 @@ mod tests {
             })
             .unwrap();
         let queries = testkit::tiny_queries(30);
-        let (expected_ranks, expected_verdicts) = {
-            let mut engine = crate::ServeEngine::new(deployment.clone(), BatchPolicy::window(1));
-            let ranks: Vec<Vec<usize>> = queries
-                .iter()
-                .map(|q| engine.rank_one(q).unwrap())
-                .collect();
-            let verdicts: Vec<AnomalyVerdict> = queries
-                .iter()
-                .map(|q| engine.score_anomaly_one(q).unwrap())
-                .collect();
-            (ranks, verdicts)
-        };
+        let batch = batch_of(&queries);
+        let expected_ranks = deployment.top_k_batch(&batch, 2).unwrap();
+        let expected_scores = deployment.anomaly_scores(&batch).unwrap();
         for shards in [1usize, 2] {
             let server = Server::spawn_sharded(deployment.clone(), BatchPolicy::window(8), shards);
             let client = server.client();
@@ -1338,10 +1310,10 @@ mod tests {
                     TaskResponse::Anomaly(verdict) => {
                         assert_eq!(
                             verdict.score.to_bits(),
-                            expected_verdicts[i].score.to_bits(),
+                            expected_scores[i].to_bits(),
                             "{shards} shards, query {i}"
                         );
-                        assert_eq!(verdict.anomalous, expected_verdicts[i].anomalous);
+                        assert_eq!(verdict.anomalous, expected_scores[i] < 0.5);
                     }
                     other => panic!("anomaly job answered with {other:?}"),
                 }

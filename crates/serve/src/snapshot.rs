@@ -54,8 +54,7 @@ impl From<PersistError> for SnapshotError {
 /// device — see [`disthd::io`]) and assigns it a monotonically increasing
 /// version.  [`SnapshotStore::restore`] deserializes any retained version,
 /// which is the rollback path for a live server: restore, then
-/// [`crate::ServerClient::install_model`] (or
-/// [`crate::ServeEngine::install_model`]).  Because each blob carries a
+/// [`crate::ServerClient::install_model`].  Because each blob carries a
 /// trailing checksum, a bit-flipped snapshot fails closed on restore;
 /// [`SnapshotStore::restore_or_rollback`] then falls back to the most
 /// recent intact version instead of leaving the caller torn.  The store

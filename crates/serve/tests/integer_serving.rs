@@ -7,38 +7,18 @@
 
 use disthd_hd::quantize::{dequantize_calls, BitWidth, QuantizedMatrix};
 use disthd_linalg::Matrix;
-use disthd_serve::{testkit, BatchPolicy, ServeEngine, Server, ServerOptions};
+use disthd_serve::{testkit, BatchPolicy, Server, ServerOptions};
 
-/// Engine and sharded server in integer mode, across flushes, hot-swaps,
-/// rollback installs and shutdown: no step may reconstruct an `f32` class
-/// matrix.
+/// Sharded server in integer mode, across flushes, hot-swaps, rollback
+/// installs and shutdown: no step may reconstruct an `f32` class matrix.
 #[test]
 fn integer_serving_lifecycle_performs_zero_dequantize_calls() {
     let deployment = testkit::tiny_deployment();
     let queries = testkit::tiny_queries(40);
     let before = dequantize_calls();
 
-    // Synchronous engine: submit/auto-flush, explicit flush, swap, install.
-    let mut engine =
-        ServeEngine::new(deployment.clone(), BatchPolicy::window(8)).with_integer_pipeline(true);
-    assert!(engine.integer_pipeline());
-    let tickets: Vec<_> = queries
-        .iter()
-        .map(|q| engine.submit(q).expect("submit"))
-        .collect();
-    engine.flush().expect("flush");
-    for t in tickets {
-        assert!(engine.try_take(t).is_some());
-    }
-    engine
-        .swap_class_memory(deployment.memory_parts().clone())
-        .expect("swap");
-    engine.predict_one(&queries[0]).expect("post-swap");
-    engine.install_model(deployment.clone()).expect("install");
-    engine.predict_one(&queries[0]).expect("post-install");
-
-    // Sharded server: concurrent predicts against the published snapshot,
-    // a mid-stream memory publication, then a drained shutdown.
+    // Concurrent predicts against the published snapshot, a mid-stream
+    // memory publication, a rollback install, then a drained shutdown.
     let server = Server::spawn_with(
         deployment.clone(),
         BatchPolicy::window(4),
@@ -58,8 +38,10 @@ fn integer_serving_lifecycle_performs_zero_dequantize_calls() {
         .swap_class_memory(deployment.memory_parts().clone())
         .expect("published swap");
     client.predict(&queries[0]).expect("post-publication");
+    client.install_model(deployment.clone()).expect("install");
+    client.predict(&queries[0]).expect("post-install");
     let stats = server.shutdown().expect("clean shutdown");
-    assert_eq!(stats.served, queries.len() as u64 + 1);
+    assert_eq!(stats.served, queries.len() as u64 + 2);
 
     assert_eq!(
         dequantize_calls(),

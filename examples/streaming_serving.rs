@@ -42,11 +42,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     model.fit(&initial_data, None)?;
     let deployed = DeployedModel::freeze(&model, BitWidth::B8)?;
-    // Measure through the same batched serving path the live server uses,
-    // so the post-rollback accuracy is exactly comparable.
+    // Measure through the batched API the live server's workers call, so
+    // the post-rollback accuracy is exactly comparable.
     let day0_acc = {
-        let mut probe = ServeEngine::new(deployed.clone(), BatchPolicy::window(64));
-        let predictions = probe.serve_all(data.test.features())?;
+        let predictions = deployed.predict_batch(data.test.features())?;
         disthd_eval::accuracy(&predictions, data.test.labels())
     };
 

@@ -33,7 +33,7 @@
 //! ## Serving quickstart
 //!
 //! The README's serving snippet, verbatim — a frozen model served through
-//! the request-batching engine with versioned snapshot/rollback:
+//! the batching [`disthd_serve::Server`] with versioned snapshot/rollback:
 //!
 //! ```
 //! use disthd_repro::prelude::*;
@@ -45,13 +45,15 @@
 //! let v0 = snapshots.push(&deployment)?;
 //!
 //! // Batch window 32: up to 32 queued queries share each batched pass.
-//! let mut engine = ServeEngine::new(deployment, BatchPolicy::window(32));
+//! let server = Server::spawn(deployment, BatchPolicy::window(32));
+//! let client = server.client();
 //! for query in testkit::tiny_queries(100) {
-//!     let _class = engine.predict_one(&query)?;
+//!     let _class = client.predict(&query)?;
 //! }
 //!
 //! // Roll back to the snapshot if an online update misbehaves.
-//! engine.install_model(snapshots.restore(v0)?)?;
+//! client.install_model(snapshots.restore(v0)?)?;
+//! server.shutdown()?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -76,5 +78,5 @@ pub mod prelude {
     pub use disthd_datasets::{Dataset, TrainTest};
     pub use disthd_eval::{Classifier, ModelError, TrainingHistory};
     pub use disthd_linalg::{Matrix, RngSeed, SeededRng};
-    pub use disthd_serve::{BatchPolicy, ServeEngine, Server, SnapshotStore};
+    pub use disthd_serve::{BatchPolicy, Server, SnapshotStore};
 }

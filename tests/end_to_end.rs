@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full generate → encode → train →
 //! evaluate pipeline with every model in the zoo.
 
+use disthd_linalg::FhtSchedule;
 use disthd_repro::prelude::*;
 
 fn diabetes() -> TrainTest {
@@ -276,10 +277,9 @@ fn structured_backend_matches_dense_accuracy_on_isolet() {
     // The tentpole contract of the structured encoder: swapping the dense
     // O(F·D) GEMM encoder for the O(D log D) Walsh–Hadamard construction
     // is a speed knob, not an accuracy knob.  At D = 2048 on the ISOLET
-    // substitute the two backends must land within a whisker of each
-    // other (the committed BENCH_throughput.json pins the ≤ 1-point
-    // criterion at the full D = 4096 bench setting; the band here adds a
-    // little slack for the smaller test split).
+    // substitute the two backends must land within two accuracy points of
+    // each other (one point of fidelity plus slack for the small test
+    // split).
     let data = PaperDataset::Isolet
         .generate(&SuiteConfig::at_scale(0.05))
         .expect("dataset generation");
@@ -311,19 +311,84 @@ fn structured_backend_matches_dense_accuracy_on_isolet() {
         "structured accuracy {structured_acc:.4}"
     );
 
-    // The frozen structured deployment serves through the batching engine
-    // exactly like the dense one: identical predictions at any window.
+    // The frozen structured deployment serves through the batching server
+    // exactly like the direct batch API: identical predictions at any
+    // window.
     let deployed = disthd::DeployedModel::freeze(&structured, disthd_hd::quantize::BitWidth::B8)
         .expect("freeze");
     let queries = data
         .test
         .features()
         .select_rows(&(0..32).collect::<Vec<_>>());
-    let mut one_at_a_time = ServeEngine::new(deployed.clone(), BatchPolicy::window(1));
-    let mut batched = ServeEngine::new(deployed, BatchPolicy::window(8));
+    let expected = deployed.predict_batch(&queries).expect("predict");
+    let server = Server::spawn(deployed, BatchPolicy::window(8));
+    let client = server.client();
+    let pending: Vec<_> = (0..queries.rows())
+        .map(|r| client.submit(queries.row(r)).expect("submit"))
+        .collect();
+    let served: Vec<usize> = pending
+        .into_iter()
+        .map(|p| p.wait().expect("served"))
+        .collect();
     assert_eq!(
-        one_at_a_time.serve_all(&queries).expect("serve"),
-        batched.serve_all(&queries).expect("serve"),
+        served, expected,
         "structured serving must be batch-invariant"
     );
+    server.shutdown().expect("clean shutdown");
+}
+
+/// Remaps every sample to `new_f` features by cyclic repetition (or
+/// truncation) of its real features, so feature widths the generator
+/// does not emit (e.g. a non-power-of-two width that needs full padding)
+/// still run end to end.
+fn remap_feature_dim(data: &Dataset, new_f: usize) -> Dataset {
+    let old_f = data.feature_dim();
+    let features = Matrix::from_fn(data.len(), new_f, |r, c| data.sample(r)[c % old_f]);
+    Dataset::new(features, data.labels().to_vec(), data.class_count()).expect("remapped dataset")
+}
+
+#[test]
+fn structured_accuracy_is_within_one_point_of_dense_at_every_schedule_and_width() {
+    // The structured encoder's fidelity bar at D = 4096: under either
+    // butterfly schedule, at the ISOLET-native F = 617 and at a remapped
+    // non-power-of-two F = 1000, it may not fall more than one accuracy
+    // point below the dense encoder trained with the same
+    // hyper-parameters.  The gap is directional — both encoders draw
+    // different random features, so either may land ahead by luck; only
+    // the structured encoder losing accuracy is a regression.  The bar
+    // widens to the test split's resolution when the split is so small
+    // that a couple of samples already exceed one point.
+    let isolet = PaperDataset::Isolet
+        .generate(&SuiteConfig::at_scale(0.05))
+        .expect("dataset generation");
+    for feature_dim in [617, 1000] {
+        let train = remap_feature_dim(&isolet.train, feature_dim);
+        let test = remap_feature_dim(&isolet.test, feature_dim);
+        let tolerance = (2.5 / test.len() as f64).max(0.01);
+        let accuracy_with = |encoder_backend: EncoderBackend, fht_schedule: FhtSchedule| {
+            let mut model = DistHd::new(
+                DistHdConfig {
+                    dim: 4096,
+                    epochs: 6,
+                    patience: None,
+                    encoder_backend,
+                    fht_schedule,
+                    ..Default::default()
+                },
+                feature_dim,
+                train.class_count(),
+            );
+            model.fit(&train, None).expect("fit");
+            model.accuracy(&test).expect("accuracy")
+        };
+        let dense = accuracy_with(EncoderBackend::Dense, FhtSchedule::Ascending);
+        for schedule in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar] {
+            let structured = accuracy_with(EncoderBackend::Structured, schedule);
+            assert!(
+                dense - structured <= tolerance,
+                "F = {feature_dim}, {schedule} schedule: structured {structured:.4} fell more \
+                 than {tolerance:.4} below dense {dense:.4}"
+            );
+        }
+    }
 }
