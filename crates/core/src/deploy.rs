@@ -15,17 +15,16 @@
 //! those very words — a faulted deployment behaves like the faulted device
 //! would, with out-of-range codes saturating as on hardware.
 //!
-//! Batched scoring decodes the codes straight into the GEMM's packed-panel
-//! layout and runs the full 4×16 register-tiled similarity micro-kernel
-//! ([`disthd_hd::quantized_similarity_matrix`]): the decode streams the
-//! class memory at its packed width (4× fewer source bytes than the f32
-//! snapshot's per-call pack had to copy) and the panel is written
-//! immediately before the GEMM reads it back out of cache, which is what
-//! finally puts the integer path ahead of the old dequantize-into-a-
-//! snapshot pipeline at every batch size.  Single queries stream the
-//! packed words through a 1 KiB decode segment
-//! ([`disthd_hd::quantized_similarity_to_all`]) in the GEMM's per-element
-//! accumulation order, scoring bit-identically to the batched kernel.
+//! For the f32-query scorers the deployment also holds the codes decoded
+//! once into the GEMM's packed-panel layout — a derived operand, like the
+//! code norms, rebuilt by every constructor and refreshed in place by
+//! hot-swap and fault injection.  Every f32 scorer, at every row count
+//! from a single query up, runs the full 4×16 register-tiled similarity
+//! micro-kernel against that panel
+//! ([`disthd_hd::quantized_similarity_prepacked`]), whose per-element
+//! accumulation order is exactly that of the scalar oracle
+//! ([`disthd_hd::quantized_similarity_to_all`]), so scores are
+//! bit-identical to it alone or inside any batch.
 
 use crate::trainer::DistHd;
 use disthd_eval::ModelError;
@@ -33,11 +32,8 @@ use disthd_hd::center::EncodingCenter;
 use disthd_hd::encoder::{AnyRbfEncoder, Encoder};
 use disthd_hd::noise::flip_random_bits;
 use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
-use disthd_hd::{
-    packed_cosine_matrix, packed_predict_batch, quantized_similarity_matrix,
-    quantized_similarity_to_all,
-};
-use disthd_linalg::{Matrix, SeededRng};
+use disthd_hd::{packed_cosine_matrix, packed_predict_batch, quantized_similarity_prepacked};
+use disthd_linalg::{Matrix, PackedRhs, SeededRng};
 use std::sync::Arc;
 
 /// Optional serving-task configuration carried by a deployment.
@@ -102,10 +98,12 @@ pub struct DeployedModel {
     encoder: Arc<AnyRbfEncoder>,
     center: EncodingCenter,
     memory: QuantizedMatrix,
-    /// Reciprocal integer code norms, one per class — the only derived
-    /// state inference needs on top of the packed words.  Refreshed in
-    /// place (no allocation) on hot-swap and fault injection.
+    /// Reciprocal integer code norms, one per class.  Refreshed in place
+    /// (no allocation) on hot-swap and fault injection.
     inv_norms: Vec<f32>,
+    /// The codes decoded into the scoring GEMM's right-hand panel
+    /// (`D × classes`), refreshed in place alongside `inv_norms`.
+    panel: PackedRhs,
     class_count: usize,
     /// Optional top-k / anomaly serving configuration; rides along through
     /// clone, hot-swap and persistence.
@@ -122,16 +120,41 @@ impl DeployedModel {
         let class_model = model.class_model().ok_or(ModelError::NotFitted)?;
         let center = model.center().ok_or(ModelError::NotFitted)?.clone();
         let memory = QuantizedMatrix::quantize(class_model.classes(), width);
-        let mut inv_norms = Vec::new();
-        memory.code_inv_norms_into(&mut inv_norms);
-        Ok(Self {
-            encoder: Arc::new(model.encoder().clone()),
+        Ok(Self::assemble(
+            Arc::new(model.encoder().clone()),
             center,
             memory,
-            inv_norms,
-            class_count: class_model.class_count(),
-            tasks: ServingTasks::default(),
-        })
+            ServingTasks::default(),
+        ))
+    }
+
+    /// Builds a deployment and its derived scoring state (code norms and
+    /// decoded panel) from its parts.
+    fn assemble(
+        encoder: Arc<AnyRbfEncoder>,
+        center: EncodingCenter,
+        memory: QuantizedMatrix,
+        tasks: ServingTasks,
+    ) -> Self {
+        let (class_count, dim) = memory.shape();
+        let mut deployed = Self {
+            encoder,
+            center,
+            memory,
+            inv_norms: Vec::with_capacity(class_count),
+            panel: PackedRhs::new(dim, class_count),
+            class_count,
+            tasks,
+        };
+        deployed.refresh_scoring_state();
+        deployed
+    }
+
+    /// Rederives the code norms and the decoded panel from the current
+    /// words, in place — no allocation once the buffers exist.
+    fn refresh_scoring_state(&mut self) {
+        self.memory.code_inv_norms_into(&mut self.inv_norms);
+        self.memory.pack_codes_into(&mut self.panel);
     }
 
     /// Storage precision of the class memory.
@@ -250,7 +273,7 @@ impl DeployedModel {
     }
 
     /// Classifies a batch of **already encoded and centered** hypervectors
-    /// (one per row) through the amortized integer scoring GEMM.
+    /// (one per row) through the scoring GEMM against the decoded panel.
     ///
     /// This is the class-scoring stage of [`DeployedModel::predict_batch`]
     /// in isolation — for callers that pre-encode once and score many
@@ -262,7 +285,7 @@ impl DeployedModel {
     /// Returns a shape error if `encoded.cols()` differs from the class
     /// memory's dimensionality.
     pub fn predict_encoded_batch(&self, encoded: &Matrix) -> Result<Vec<usize>, ModelError> {
-        let scores = quantized_similarity_matrix(encoded, &self.memory, &self.inv_norms)?;
+        let scores = quantized_similarity_prepacked(encoded, &self.panel, &self.inv_norms)?;
         Ok(scores.iter_rows().map(argmax).collect())
     }
 
@@ -275,9 +298,9 @@ impl DeployedModel {
     /// live model refresh.
     ///
     /// The swap moves the replacement's words in and refreshes the per-row
-    /// code norms into the existing buffer — **allocation-free**, so a hot
-    /// serving loop can swap between batches without touching the
-    /// allocator (no `f32` snapshot is rebuilt; there is none).
+    /// code norms and the decoded panel into their existing buffers —
+    /// **allocation-free**, so a hot serving loop can swap between batches
+    /// without touching the allocator.
     ///
     /// # Errors
     ///
@@ -292,8 +315,8 @@ impl DeployedModel {
                 self.memory.shape()
             )));
         }
-        memory.code_inv_norms_into(&mut self.inv_norms);
         self.memory = memory;
+        self.refresh_scoring_state();
         Ok(())
     }
 
@@ -307,8 +330,8 @@ impl DeployedModel {
     ///
     /// The encoder and centering are structurally shared with `self`
     /// (`Arc`), so the construction cost is the class memory plus its code
-    /// norms — independent of the encoder's size.  Predictions of the
-    /// returned deployment are bit-identical to calling
+    /// norms and decoded panel — independent of the encoder's size.
+    /// Predictions of the returned deployment are bit-identical to calling
     /// [`DeployedModel::swap_class_memory`] on a clone.
     ///
     /// # Errors
@@ -324,16 +347,12 @@ impl DeployedModel {
                 self.memory.shape()
             )));
         }
-        let mut inv_norms = Vec::with_capacity(self.inv_norms.len());
-        memory.code_inv_norms_into(&mut inv_norms);
-        Ok(Self {
-            encoder: Arc::clone(&self.encoder),
-            center: self.center.clone(),
+        Ok(Self::assemble(
+            Arc::clone(&self.encoder),
+            self.center.clone(),
             memory,
-            inv_norms,
-            class_count: self.class_count,
-            tasks: self.tasks,
-        })
+            self.tasks,
+        ))
     }
 
     /// Per-class similarity scores for one feature vector: the encoded
@@ -347,11 +366,9 @@ impl DeployedModel {
     pub fn decision_scores(&self, features: &[f32]) -> Result<Vec<f32>, ModelError> {
         let mut encoded = self.encoder.encode(features)?;
         self.center.apply(&mut encoded);
-        Ok(quantized_similarity_to_all(
-            &encoded,
-            &self.memory,
-            &self.inv_norms,
-        )?)
+        let encoded = Matrix::from_vec(1, encoded.len(), encoded)?;
+        let scores = quantized_similarity_prepacked(&encoded, &self.panel, &self.inv_norms)?;
+        Ok(scores.into_vec())
     }
 
     /// Accuracy over a dataset.
@@ -378,17 +395,7 @@ impl DeployedModel {
         center: EncodingCenter,
         memory: QuantizedMatrix,
     ) -> Self {
-        let mut inv_norms = Vec::new();
-        memory.code_inv_norms_into(&mut inv_norms);
-        let class_count = memory.shape().0;
-        Self {
-            encoder: Arc::new(encoder),
-            center,
-            memory,
-            inv_norms,
-            class_count,
-            tasks: ServingTasks::default(),
-        }
+        Self::assemble(Arc::new(encoder), center, memory, ServingTasks::default())
     }
 
     /// Borrows the encoder (persistence access).
@@ -435,7 +442,7 @@ impl DeployedModel {
     /// multi-label serving task on the batched GEMM path.
     ///
     /// The scores are the same `samples × classes` similarity matrix the
-    /// classify path ranks ([`disthd_hd::quantized_similarity_matrix`]),
+    /// classify path ranks ([`disthd_hd::quantized_similarity_prepacked`]),
     /// so `result[r][0]` always equals [`DeployedModel::predict_batch`]'s
     /// answer for row `r` (ties resolve to the lower class index in both),
     /// and every row is computed independently — a query's ranking is
@@ -454,7 +461,7 @@ impl DeployedModel {
         }
         let mut encoded = self.encoder.encode_batch(queries)?;
         self.center.apply_batch(&mut encoded);
-        let scores = quantized_similarity_matrix(&encoded, &self.memory, &self.inv_norms)?;
+        let scores = quantized_similarity_prepacked(&encoded, &self.panel, &self.inv_norms)?;
         Ok(scores
             .iter_rows()
             .map(|row| disthd_linalg::top_k_largest(row, k))
@@ -509,7 +516,7 @@ impl DeployedModel {
         }
         let mut encoded = self.encoder.encode_batch(queries)?;
         self.center.apply_batch(&mut encoded);
-        let scores = quantized_similarity_matrix(&encoded, &self.memory, &self.inv_norms)?;
+        let scores = quantized_similarity_prepacked(&encoded, &self.panel, &self.inv_norms)?;
         Ok(scores
             .iter_rows()
             .enumerate()
@@ -595,11 +602,11 @@ impl DeployedModel {
 
     /// Flips `round(rate * memory_bits())` random bits of the stored class
     /// memory (the Fig. 8 fault model) and refreshes the per-class code
-    /// norms in place.  Inference reads the very same faulted words, so no
-    /// snapshot rebuild is needed.  Returns the number of bits flipped.
+    /// norms and the decoded panel in place from the faulted words.
+    /// Returns the number of bits flipped.
     pub fn inject_faults(&mut self, rate: f64, rng: &mut SeededRng) -> usize {
         let flipped = flip_random_bits(&mut self.memory, rate, rng);
-        self.memory.code_inv_norms_into(&mut self.inv_norms);
+        self.refresh_scoring_state();
         flipped
     }
 }
@@ -1052,6 +1059,95 @@ mod tests {
         assert!(deployed
             .calibrate_anomaly_threshold(&noise_queries(4, dim, 1), &Matrix::zeros(0, dim))
             .is_err());
+    }
+
+    /// Checks every f32 scorer of `deployed` at 1, 3, 4 and 32 rows
+    /// against two references: the scalar oracle over the deployment's own
+    /// words (bitwise on scores) and a fresh `from_parts` deployment over
+    /// the same memory.  A derived panel or norm left stale by any
+    /// mutation fails here.
+    fn assert_scorers_track_the_words(deployed: &DeployedModel, queries: &Matrix, stage: &str) {
+        use disthd_hd::quantized_similarity_to_all;
+        let memory = deployed.memory_parts();
+        let fresh = DeployedModel::from_parts(
+            deployed.encoder_parts().clone(),
+            deployed.center_parts().clone(),
+            memory.clone(),
+        );
+        let mut inv_norms = Vec::new();
+        memory.code_inv_norms_into(&mut inv_norms);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in [1usize, 3, 4, 32] {
+            let batch = queries.select_rows(&(0..rows).collect::<Vec<_>>());
+            let mut encoded = deployed.encoder_parts().encode_batch(&batch).unwrap();
+            deployed.center_parts().apply_batch(&mut encoded);
+            let oracle: Vec<Vec<f32>> = (0..rows)
+                .map(|r| quantized_similarity_to_all(encoded.row(r), memory, &inv_norms).unwrap())
+                .collect();
+            let classes: Vec<usize> = oracle.iter().map(|s| argmax(s)).collect();
+            let ranked: Vec<Vec<usize>> = oracle
+                .iter()
+                .map(|s| disthd_linalg::top_k_largest(s, 2))
+                .collect();
+            let anomaly: Vec<f32> = oracle
+                .iter()
+                .enumerate()
+                .map(|(r, s)| max_score(s) / disthd_linalg::l2_norm(encoded.row(r)))
+                .collect();
+            let at = format!("{stage}, {rows} rows");
+            for model in [deployed, &fresh] {
+                assert_eq!(model.predict_batch(&batch).unwrap(), classes, "{at}");
+                assert_eq!(model.top_k_batch(&batch, 2).unwrap(), ranked, "{at}");
+                assert_eq!(
+                    bits(&model.anomaly_scores(&batch).unwrap()),
+                    bits(&anomaly),
+                    "{at}"
+                );
+            }
+            for r in 0..rows {
+                let mut single = deployed.encoder_parts().encode(batch.row(r)).unwrap();
+                deployed.center_parts().apply(&mut single);
+                let expected = quantized_similarity_to_all(&single, memory, &inv_norms).unwrap();
+                for model in [deployed, &fresh] {
+                    let scores = model.decision_scores(batch.row(r)).unwrap();
+                    assert_eq!(bits(&scores), bits(&expected), "{at}, row {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scoring_panel_never_goes_stale() {
+        let (model, data) = trained();
+        let n = data.test.len();
+        let queries = Matrix::from_fn(32, data.test.feature_dim(), |r, c| {
+            data.test.sample(r % n)[c]
+        });
+        let k = model.class_model().unwrap().class_count();
+        let rotated: Vec<usize> = (0..k).map(|c| (c + 1) % k).collect();
+        let permuted = QuantizedMatrix::quantize(
+            &model.class_model().unwrap().classes().select_rows(&rotated),
+            BitWidth::B8,
+        );
+        let mut deployed = DeployedModel::freeze(&model, BitWidth::B8).unwrap();
+        assert_scorers_track_the_words(&deployed, &queries, "freeze");
+        deployed.swap_class_memory(permuted.clone()).unwrap();
+        assert_scorers_track_the_words(&deployed, &queries, "swap_class_memory");
+        deployed.inject_faults(0.05, &mut SeededRng::new(RngSeed(23)));
+        assert_scorers_track_the_words(&deployed, &queries, "inject_faults");
+        let derived = DeployedModel::freeze(&model, BitWidth::B8)
+            .unwrap()
+            .with_swapped_memory(permuted)
+            .unwrap();
+        assert_scorers_track_the_words(&derived, &queries, "with_swapped_memory");
+        let mut bytes = Vec::new();
+        crate::io::save_deployed(&deployed, &mut bytes).unwrap();
+        let loaded = crate::io::load_deployed(bytes.as_slice()).unwrap();
+        assert_scorers_track_the_words(&loaded, &queries, "save/load");
+        assert_eq!(
+            loaded.predict_batch(&queries).unwrap(),
+            deployed.predict_batch(&queries).unwrap()
+        );
     }
 
     #[test]

@@ -243,8 +243,11 @@ fn serialize_legacy(model: &DeployedModel) -> Result<Vec<u8>, PersistError> {
             } else {
                 writer.write_all(&[VERSION_TASKED, ENCODER_KIND_DENSE])?;
             }
-            write_dims(&mut writer, encoder.bases().rows())?;
-            write_f32_slice(&mut writer, encoder.bases().as_slice())?;
+            // The only place the packed bases are unpacked: the format
+            // stores them row-major.
+            let bases = encoder.bases().to_matrix();
+            write_dims(&mut writer, bases.rows())?;
+            write_f32_slice(&mut writer, bases.as_slice())?;
             write_f32_slice(&mut writer, encoder.phases())?;
         }
         AnyRbfEncoder::Structured(encoder) => {
@@ -868,6 +871,44 @@ mod tests {
         }
         assert_eq!(original.width(), restored.width());
         assert_eq!(original.memory_bits(), restored.memory_bits());
+    }
+
+    #[test]
+    fn regenerated_encoders_save_load_save_byte_identically() {
+        // Both encoders hold their projections packed and unpack only
+        // here.  Regenerate twice, the second call re-drawing a dim the
+        // first replaced (for the structured encoder: one the overlay
+        // already holds); the round trip must reproduce the stream byte for
+        // byte and keep every score bitwise.
+        use disthd_hd::encoder::RegenerativeEncoder;
+        use disthd_linalg::{RngSeed, SeededRng};
+        let classes = Matrix::from_fn(3, 40, |r, c| ((r * 40 + c) as f32 * 0.61).sin());
+        let memory = QuantizedMatrix::quantize(&classes, BitWidth::B4);
+        let center = EncodingCenter::from_means(vec![0.01; 40]);
+        let mut dense = RbfEncoder::new(7, 40, RngSeed(3));
+        let mut structured = StructuredRbfEncoder::new(7, 40, RngSeed(3));
+        let mut rng = SeededRng::new(RngSeed(4));
+        for dims in [&[1usize, 17, 39][..], &[17, 2]] {
+            dense.regenerate(dims, &mut rng);
+            structured.regenerate(dims, &mut rng);
+        }
+        let query = [0.3, -0.1, 0.0, 0.8, 0.25, -0.6, 0.4];
+        for encoder in [
+            AnyRbfEncoder::Dense(dense),
+            AnyRbfEncoder::Structured(structured),
+        ] {
+            let original = DeployedModel::from_parts(encoder, center.clone(), memory.clone());
+            let mut first = Vec::new();
+            save_deployed(&original, &mut first).unwrap();
+            let restored = load_deployed(first.as_slice()).unwrap();
+            let mut second = Vec::new();
+            save_deployed(&restored, &mut second).unwrap();
+            assert_eq!(first, second);
+            assert_eq!(
+                original.decision_scores(&query).unwrap(),
+                restored.decision_scores(&query).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -39,8 +39,10 @@ use disthd_linalg::{
 #[derive(Debug, Clone)]
 pub struct RbfEncoder {
     /// `n x D` base matrix: column `i` is `B_i`, so a feature batch encodes
-    /// as `batch · bases` in one GEMM.
-    bases: Matrix,
+    /// as `batch · bases` in one GEMM.  Held in the GEMM's packed panel
+    /// layout, so no encode call repacks it; regeneration writes columns
+    /// in place.
+    bases: PackedRhs,
     /// Per-dimension phases `c_i`.
     phases: Vec<f32>,
     /// Precomputed `sin(c_i)` per dimension: the nonlinearity is evaluated
@@ -93,7 +95,9 @@ impl RbfEncoder {
         let base_std = bandwidth / (input_dim.max(1) as f32).sqrt();
         let mut rng = SeededRng::derive_stream(seed, 0xE7C0);
         let gaussian = Gaussian::new(0.0, base_std);
-        let bases = Matrix::from_fn(input_dim, output_dim, |_, _| gaussian.sample(&mut rng));
+        let bases = PackedRhs::pack(&Matrix::from_fn(input_dim, output_dim, |_, _| {
+            gaussian.sample(&mut rng)
+        }));
         let phases = Uniform::phase().sample_vec(&mut rng, output_dim);
         let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
         Self {
@@ -126,8 +130,8 @@ impl RbfEncoder {
         }
     }
 
-    /// Borrows the base matrix (`n x D`, column `i` = `B_i`).
-    pub fn bases(&self) -> &Matrix {
+    /// Borrows the packed base matrix (`n x D`, column `i` = `B_i`).
+    pub fn bases(&self) -> &PackedRhs {
         &self.bases
     }
 
@@ -166,7 +170,7 @@ impl RbfEncoder {
                 (batch.rows(), self.output_dim),
             ));
         }
-        // Gather each regenerated base column once (the base matrix is
+        // Gather each regenerated base column once (the packed panel is
         // column-strided), then stream all samples against the contiguous
         // copy — the inner dot product auto-vectorizes.
         let mut column = vec![0.0f32; self.input_dim];
@@ -192,24 +196,6 @@ impl RbfEncoder {
         &self.phases
     }
 
-    /// Pre-backend batch encoding: scalar reference matmul followed by a
-    /// separate nonlinearity pass over the projected batch.
-    ///
-    /// Kept as the ground truth for backend parity tests and as the
-    /// "pre-PR" baseline the throughput benchmark measures speedups
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `batch.cols() != input_dim()`.
-    pub fn encode_batch_reference(&self, batch: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut projected = batch.matmul_reference(&self.bases)?;
-        for r in 0..projected.rows() {
-            self.apply_nonlinearity(projected.row_mut(r));
-        }
-        Ok(projected)
-    }
-
     /// Standard deviation of base entries (`bandwidth / sqrt(n)`), needed
     /// to persist and reconstruct the encoder.
     pub fn base_std(&self) -> f32 {
@@ -233,7 +219,7 @@ impl RbfEncoder {
         let output_dim = bases.cols();
         let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
         Ok(Self {
-            bases,
+            bases: PackedRhs::pack(&bases),
             phases,
             phase_sins,
             base_std,
@@ -248,8 +234,8 @@ impl RbfEncoder {
     /// row straight into packed words — no full-precision output matrix is
     /// ever materialized.
     ///
-    /// The projection runs through [`Matrix::matmul_rows_into`] against a
-    /// once-packed right-hand side (bit-identical to the
+    /// The projection runs through [`Matrix::matmul_rows_into`] against the
+    /// packed bases (bit-identical to the
     /// [`Encoder::encode_batch`] GEMM for any row partition) and the
     /// epilogue through [`disthd_linalg::half_angle_row`] (bit-identical to
     /// the scalar half-angle map), so the result equals quantizing the
@@ -282,7 +268,6 @@ impl RbfEncoder {
                 ));
             }
         }
-        let packed = PackedRhs::pack(&self.bases);
         let cols = self.output_dim;
         Ok(QuantizedMatrix::from_row_producer(
             batch.rows(),
@@ -290,8 +275,8 @@ impl RbfEncoder {
             width,
             |first_row, values| {
                 batch
-                    .matmul_rows_into(&packed, first_row, values)
-                    .expect("shapes validated before packing");
+                    .matmul_rows_into(&self.bases, first_row, values)
+                    .expect("shapes validated above");
                 for row in values.chunks_exact_mut(cols) {
                     // Unit scale is an exact no-op on the projections.
                     half_angle_row(row, 1.0, &self.phases, &self.phase_sins);
@@ -323,13 +308,19 @@ impl Encoder for RbfEncoder {
                 (self.input_dim, self.output_dim),
             ));
         }
-        // projections[i] = B_i · F  — one pass over the base matrix rows.
+        // projections[i] = B_i · F  — one pass over the base matrix rows,
+        // each read as its packed 16-column segments.
         let mut projections = vec![0.0f32; self.output_dim];
         for (k, &f) in features.iter().enumerate() {
             if f == 0.0 {
                 continue;
             }
-            disthd_linalg::axpy(f, self.bases.row(k), &mut projections);
+            let mut c0 = 0;
+            for segment in self.bases.row_segments(k) {
+                let out = &mut projections[c0..c0 + segment.len()];
+                disthd_linalg::axpy(f, segment, out);
+                c0 += segment.len();
+            }
         }
         self.apply_nonlinearity(&mut projections);
         Ok(projections)
@@ -342,7 +333,7 @@ impl Encoder for RbfEncoder {
         // being re-streamed for a separate nonlinearity pass.
         let phases = &self.phases;
         let phase_sins = &self.phase_sins;
-        batch.matmul_map(&self.bases, |dim, p| {
+        batch.matmul_prepacked_map(&self.bases, |dim, p| {
             Self::nonlinearity(p, phases[dim], phase_sins[dim])
         })
     }
@@ -356,8 +347,8 @@ impl RegenerativeEncoder for RbfEncoder {
             if d >= self.output_dim {
                 continue;
             }
-            for k in 0..self.input_dim {
-                self.bases.set(k, d, gaussian.sample(rng));
+            for slot in self.bases.column_slots(d) {
+                *slot = gaussian.sample(rng);
             }
             self.phases[d] = phase.sample(rng);
             self.phase_sins[d] = sin_det(self.phases[d]);
@@ -434,7 +425,10 @@ mod tests {
         let enc = encoder();
         let batch = Matrix::from_fn(9, 6, |r, c| 0.1 + 0.07 * (r * 6 + c + 1) as f32);
         let fused = enc.encode_batch(&batch).unwrap();
-        let reference = enc.encode_batch_reference(&batch).unwrap();
+        let mut reference = batch.matmul_reference(&enc.bases().to_matrix()).unwrap();
+        for r in 0..reference.rows() {
+            enc.apply_nonlinearity(reference.row_mut(r));
+        }
         for (i, (&a, &b)) in fused
             .as_slice()
             .iter()
@@ -490,6 +484,60 @@ mod tests {
             }
         }
         assert_eq!(enc.regenerated_count(), 3);
+    }
+
+    #[test]
+    fn regeneration_through_the_packed_bases_matches_the_dense_layout() {
+        // Regenerate twice, the second call re-drawing a dim the first one
+        // already replaced.  The packed bases must hold exactly what the
+        // row-major layout would (same draw order: n Gaussians per column,
+        // then its phase), batch encode must equal the per-call-packing
+        // GEMM bit for bit, and single-row encode must equal the row-major
+        // axpy over the unpacked bases bit for bit.
+        let mut enc = RbfEncoder::new(6, 37, RngSeed(4));
+        let mut dense = enc.bases().to_matrix();
+        let mut phases = enc.phases().to_vec();
+        let mut rng = SeededRng::new(RngSeed(77));
+        let mut mirror = SeededRng::new(RngSeed(77));
+        let gaussian = Gaussian::new(0.0, enc.base_std());
+        for dims in [&[3usize, 16, 36][..], &[16, 0, 99]] {
+            enc.regenerate(dims, &mut rng);
+            for &d in dims.iter().filter(|&&d| d < 37) {
+                for k in 0..6 {
+                    dense.set(k, d, gaussian.sample(&mut mirror));
+                }
+                phases[d] = Uniform::phase().sample(&mut mirror);
+            }
+        }
+        assert_eq!(enc.bases().to_matrix(), dense);
+        assert_eq!(enc.phases(), phases.as_slice());
+
+        let batch = Matrix::from_fn(5, 6, |r, c| {
+            if c == r {
+                0.0
+            } else {
+                0.3 * c as f32 - 0.1 * r as f32
+            }
+        });
+        let expected = batch
+            .matmul_map(&dense, |d, p| {
+                RbfEncoder::nonlinearity(p, enc.phases[d], enc.phase_sins[d])
+            })
+            .unwrap();
+        assert_eq!(
+            enc.encode_batch(&batch).unwrap().as_slice(),
+            expected.as_slice()
+        );
+        for r in 0..batch.rows() {
+            let mut projections = vec![0.0f32; 37];
+            for (k, &f) in batch.row(r).iter().enumerate() {
+                if f != 0.0 {
+                    disthd_linalg::axpy(f, dense.row(k), &mut projections);
+                }
+            }
+            enc.apply_nonlinearity(&mut projections);
+            assert_eq!(enc.encode(batch.row(r)).unwrap(), projections, "row {r}");
+        }
     }
 
     #[test]

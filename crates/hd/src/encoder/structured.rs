@@ -126,10 +126,11 @@ struct BlockSpec {
 /// [`super::RbfEncoder`] column), stored as one row of a patch matrix.
 /// Encoding computes the structured pass for the live dimensions and then
 /// fills the overlaid columns via the existing 4×16 GEMM
-/// ([`Matrix::matmul_map`]).  `fit` / `partial_fit` / regeneration semantics
-/// are therefore identical to the dense encoder's, and the overlay GEMM
-/// costs `O(F·m)` per sample for `m` evicted dimensions — tiny relative to
-/// the FHT pass while regeneration touches a minority of dimensions.
+/// ([`Matrix::matmul_prepacked_map`] against the overlay, held packed).
+/// `fit` / `partial_fit` / regeneration semantics are therefore identical
+/// to the dense encoder's, and the overlay GEMM costs `O(F·m)` per sample
+/// for `m` evicted dimensions — tiny relative to the FHT pass while
+/// regeneration touches a minority of dimensions.
 ///
 /// # Example
 ///
@@ -175,10 +176,11 @@ pub struct StructuredRbfEncoder {
     overlay_dims: Vec<usize>,
     /// `m × n` overlay base vectors, one row per evicted dim.
     overlay_rows: Matrix,
-    /// Cached `n × m` transpose of `overlay_rows` — the right-hand side of
-    /// the overlay GEMM, rebuilt once per [`RegenerativeEncoder::regenerate`]
-    /// call so the encode hot path never re-transposes.
-    overlay_cols: Matrix,
+    /// `overlay_rows` transposed into the GEMM's packed panel layout — the
+    /// right-hand side of the overlay GEMM, rebuilt once per
+    /// [`RegenerativeEncoder::regenerate`] call so the encode hot path
+    /// never re-transposes or repacks.
+    overlay_panel: PackedRhs,
     /// Butterfly pass order for every block transform (never persisted).
     schedule: FhtSchedule,
     /// Whether the final-stage prune plans are applied (ascending schedule
@@ -192,6 +194,18 @@ pub struct StructuredRbfEncoder {
     /// regeneration.
     live_runs: Vec<Vec<(u32, u32)>>,
     regenerated: u64,
+}
+
+/// Packs the `m × n` overlay rows as the `n × m` right-hand side of the
+/// overlay GEMM: row `j` becomes panel column `j`.
+fn pack_overlay(overlay_rows: &Matrix) -> PackedRhs {
+    let mut panel = PackedRhs::new(overlay_rows.cols(), overlay_rows.rows());
+    for (j, row) in overlay_rows.iter_rows().enumerate() {
+        for (slot, &v) in panel.column_slots(j).zip(row) {
+            *slot = v;
+        }
+    }
+    panel
 }
 
 /// Builds the per-block shapes for `(input_dim, output_dim, block_dim)`,
@@ -318,7 +332,7 @@ impl StructuredRbfEncoder {
             overlay_index: vec![NOT_OVERLAID; output_dim],
             overlay_dims: Vec::new(),
             overlay_rows: Matrix::zeros(0, input_dim),
-            overlay_cols: Matrix::zeros(input_dim, 0),
+            overlay_panel: PackedRhs::new(input_dim, 0),
             schedule: FhtSchedule::default(),
             prune_enabled: true,
             prune_plans: Vec::new(),
@@ -497,7 +511,7 @@ impl StructuredRbfEncoder {
             overlay_index[d] = j as u32;
         }
         let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
-        let overlay_cols = overlay_rows.transpose();
+        let overlay_panel = pack_overlay(&overlay_rows);
         let mut encoder = Self {
             input_dim,
             output_dim,
@@ -510,7 +524,7 @@ impl StructuredRbfEncoder {
             overlay_index,
             overlay_dims,
             overlay_rows,
-            overlay_cols,
+            overlay_panel,
             schedule: FhtSchedule::default(),
             prune_enabled: true,
             prune_plans: Vec::new(),
@@ -755,11 +769,6 @@ impl StructuredRbfEncoder {
                 ));
             }
         }
-        let overlay_packed = if self.overlay_dims.is_empty() {
-            None
-        } else {
-            Some(PackedRhs::pack(&self.overlay_cols))
-        };
         let cols = self.output_dim;
         let m = self.overlay_dims.len();
         Ok(QuantizedMatrix::from_row_producer(
@@ -772,11 +781,11 @@ impl StructuredRbfEncoder {
                 for (i, row) in values.chunks_exact_mut(cols).enumerate() {
                     self.encode_structured_row(batch.row(first_row + i), row, &mut scratch);
                 }
-                if let Some(packed) = &overlay_packed {
+                if m > 0 {
                     let mut patch = vec![0.0f32; n * m];
                     batch
-                        .matmul_rows_into(packed, first_row, &mut patch)
-                        .expect("shapes validated before packing");
+                        .matmul_rows_into(&self.overlay_panel, first_row, &mut patch)
+                        .expect("shapes validated above");
                     for (row, patch_row) in values.chunks_exact_mut(cols).zip(patch.chunks_exact(m))
                     {
                         for (j, &dim) in self.overlay_dims.iter().enumerate() {
@@ -867,7 +876,7 @@ impl Encoder for StructuredRbfEncoder {
         // private base vectors, fused with the same epilogue, scattered
         // into the overlaid columns.
         if !self.overlay_dims.is_empty() {
-            let patch = batch.matmul_map(&self.overlay_cols, |j, p| {
+            let patch = batch.matmul_prepacked_map(&self.overlay_panel, |j, p| {
                 let dim = self.overlay_dims[j];
                 half_angle_cosine(p, self.phases[dim], self.phase_sins[dim])
             })?;
@@ -914,10 +923,10 @@ impl RegenerativeEncoder for StructuredRbfEncoder {
             self.phase_sins[dim] = sin_det(new_phase);
             self.regenerated += 1;
         }
-        if evicted_any || !dims.is_empty() {
-            // The GEMM-side transpose is rebuilt once per regeneration
-            // call, never on the encode hot path.
-            self.overlay_cols = self.overlay_rows.transpose();
+        if !dims.is_empty() {
+            // The GEMM-side panel is rebuilt once per regeneration call,
+            // never on the encode hot path.
+            self.overlay_panel = pack_overlay(&self.overlay_rows);
         }
         if evicted_any {
             // Freshly evicted dims drop out of the butterfly final stage
@@ -994,6 +1003,35 @@ mod tests {
                 assert!((a - b).abs() < 1e-5, "({r},{c}): batch {a} vs single {b}");
             }
         }
+    }
+
+    #[test]
+    fn regenerated_overlay_encodes_through_its_packed_panel_bitwise() {
+        // The second call only re-draws a dim the overlay already holds, so
+        // nothing is evicted and the panel must still be rebuilt.  Batch
+        // encode must equal the structured pass plus the per-call-packing
+        // GEMM over the unpacked overlay, bit for bit, after every call.
+        let mut enc = encoder();
+        let mut rng = SeededRng::new(RngSeed(8));
+        let batch = Matrix::from_fn(6, 6, |r, c| ((r * 6 + c) as f32 * 0.37).sin());
+        for dims in [&[4usize, 17, 150][..], &[17], &[150, 3, 500]] {
+            enc.regenerate(dims, &mut rng);
+            let patch = batch
+                .matmul_map(&enc.overlay_rows().transpose(), |j, p| {
+                    let dim = enc.overlay_dims()[j];
+                    half_angle_cosine(p, enc.phases[dim], enc.phase_sins[dim])
+                })
+                .unwrap();
+            let encoded = enc.encode_batch(&batch).unwrap();
+            for r in 0..batch.rows() {
+                let mut expected = enc.encode(batch.row(r)).unwrap();
+                for (j, &dim) in enc.overlay_dims().iter().enumerate() {
+                    expected[dim] = patch.get(r, j);
+                }
+                assert_eq!(encoded.row(r), expected.as_slice(), "{dims:?}, row {r}");
+            }
+        }
+        assert_eq!(enc.overlay_dims(), &[4, 17, 150, 3]);
     }
 
     /// Probes every implicit base-row norm by encoding basis vectors

@@ -60,8 +60,8 @@ pub use ops::{bind, bundle, permute, weighted_bundle};
 pub use similarity::{
     cosine_similarity_matrix, exact_cosine_to_all, hamming_distance, hamming_distance_batch,
     normalized_hamming_similarity, normalized_hamming_similarity_batch, packed_cosine_matrix,
-    packed_predict_batch, packed_similarity_to_all, quantized_similarity_matrix,
-    quantized_similarity_prepacked, quantized_similarity_to_all, similarity_to_all,
+    packed_predict_batch, packed_similarity_to_all, quantized_similarity_prepacked,
+    quantized_similarity_to_all, similarity_to_all,
 };
 
 #[cfg(test)]

@@ -380,7 +380,7 @@ impl QuantizedMatrix {
     /// GEMM micro-kernel's per-element order
     /// ([`disthd_linalg::dot_gemm_order_from`]) — so a single query scores
     /// **bit-identically** to the same query inside any batched
-    /// [`crate::quantized_similarity_matrix`] call, at any thread count.
+    /// [`crate::quantized_similarity_prepacked`] call, at any thread count.
     ///
     /// This is the single-query serving path: together with
     /// [`QuantizedMatrix::code_inv_norms_into`] it ranks classes exactly
