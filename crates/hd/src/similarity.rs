@@ -7,7 +7,7 @@
 //! Hamming distance over packed words.
 
 use crate::bitpacked::BinaryHypervector;
-use crate::quantize::QuantizedMatrix;
+use crate::quantize::{BitWidth, QuantizedMatrix};
 use disthd_linalg::{dot, normalize_l2, Matrix, PackedRhs, ShapeError};
 
 /// Dot-product similarity of a query against every row of `normalized_rows`.
@@ -182,10 +182,83 @@ pub fn quantized_similarity_prepacked(
     encoded.matmul_prepacked_map(codes_panel, |l, v| v * inv_norms[l])
 }
 
+/// Columns per `i32` accumulation chunk of the integer scorer: the largest
+/// power of two with `cols · 127² < 2³¹`, so no chunk of saturated 8-bit
+/// products can overflow before it is widened to `i64`.
+const EXACT_I32_COLS: usize = 1 << 17;
+
+/// Exact integer dot of two decoded rows: `i32` sums over chunks of at most
+/// [`EXACT_I32_COLS`] columns, widened to `i64` between chunks.  With
+/// `target-cpu=native` the chunk loop lowers to `vpmaddwd`.
+fn dot_i16(a: &[i16], b: &[i16]) -> i64 {
+    a.chunks(EXACT_I32_COLS)
+        .zip(b.chunks(EXACT_I32_COLS))
+        .map(|(a, b)| {
+            let sum: i32 = a
+                .iter()
+                .zip(b)
+                .map(|(&x, &y)| i32::from(x) * i32::from(y))
+                .sum();
+            i64::from(sum)
+        })
+        .sum()
+}
+
+/// The batched exact integer scorer behind every packed similarity: the
+/// row-major `queries × classes` matrix of integer code dots, equal pair
+/// for pair to the scalar oracle [`QuantizedMatrix::row_dot_widening`].
+///
+/// At 2/4/8 bits every class row is decoded once per call and every query
+/// row once ([`QuantizedMatrix::decode_row_i16`]), and each pair is dotted
+/// in `i16` lanes.  1-bit rows keep XOR+popcount (`dot = D − 2·hamming`).
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if the widths or column counts differ, or
+/// `class_inv_norms` is not one entry per class row.
+fn integer_dots(
+    op: &'static str,
+    queries: &QuantizedMatrix,
+    classes: &QuantizedMatrix,
+    class_inv_norms: &[f32],
+) -> Result<Vec<i64>, ShapeError> {
+    let (query_rows, cols) = queries.shape();
+    let (class_rows, class_cols) = classes.shape();
+    if cols != class_cols
+        || queries.width() != classes.width()
+        || class_inv_norms.len() != class_rows
+    {
+        return Err(ShapeError::new(op, queries.shape(), classes.shape()));
+    }
+    let mut dots = Vec::with_capacity(query_rows * class_rows);
+    if queries.width() == BitWidth::B1 {
+        for r in 0..query_rows {
+            dots.extend(
+                (0..class_rows)
+                    .map(|l| cols as i64 - 2 * queries.row_hamming(r, classes, l) as i64),
+            );
+        }
+        return Ok(dots);
+    }
+    let mut class_values = vec![0i16; class_rows * cols];
+    for l in 0..class_rows {
+        classes.decode_row_i16(l, &mut class_values[l * cols..][..cols]);
+    }
+    let mut query_values = vec![0i16; cols];
+    for r in 0..query_rows {
+        queries.decode_row_i16(r, &mut query_values);
+        dots.extend(
+            (0..class_rows).map(|l| dot_i16(&query_values, &class_values[l * cols..][..cols])),
+        );
+    }
+    Ok(dots)
+}
+
 /// Fully-integer similarity of a quantized query (a `1 × D`
 /// [`QuantizedMatrix`]) against every row of a quantized class memory:
-/// widening i8/i4/i2 dot products — or XOR+popcount for 1-bit — over the
-/// packed words, normalized by the exact integer code norms on both sides.
+/// exact integer code dots from the batched scorer (`i16` lanes at
+/// 2/4/8 bits, XOR+popcount at 1 bit), normalized by the exact integer
+/// code norms on both sides.
 ///
 /// `class_inv_norms` must hold one reciprocal code norm per class row
 /// (from [`QuantizedMatrix::code_inv_norms_into`]) — the norms are
@@ -208,31 +281,29 @@ pub fn packed_similarity_to_all(
     classes: &QuantizedMatrix,
     class_inv_norms: &[f32],
 ) -> Result<Vec<f32>, ShapeError> {
-    let (query_rows, query_cols) = query.shape();
-    let (class_rows, class_cols) = classes.shape();
-    if query_rows != 1
-        || query_cols != class_cols
-        || query.width() != classes.width()
-        || class_inv_norms.len() != class_rows
-    {
+    if query.shape().0 != 1 {
         return Err(ShapeError::new(
             "packed_similarity",
             query.shape(),
             classes.shape(),
         ));
     }
+    let dots = integer_dots("packed_similarity", query, classes, class_inv_norms)?;
     let mut query_inv = Vec::with_capacity(1);
     query.code_inv_norms_into(&mut query_inv);
-    Ok((0..class_rows)
-        .map(|l| query.row_dot_widening(0, classes, l) as f32 * query_inv[0] * class_inv_norms[l])
+    Ok(dots
+        .iter()
+        .zip(class_inv_norms)
+        .map(|(&dot, &inv_norm)| dot as f32 * query_inv[0] * inv_norm)
         .collect())
 }
 
 /// Fully-integer batch prediction: the argmax class of every row of a
 /// quantized query batch against a quantized class memory, straight off the
-/// packed words — XOR+popcount at 1 bit, widening i2/i4/i8 dot products
-/// otherwise.  **No f32 similarity work**: the only float arithmetic is the
-/// final per-class `dot × inv_norm` scaling of an integer dot.
+/// packed words.  One call decodes each class row and each query row once
+/// and dots every pair exactly in `i16` lanes (XOR+popcount at 1 bit).
+/// **No f32 similarity work**: the only float arithmetic is the final
+/// per-class `dot × inv_norm` scaling of an integer dot.
 ///
 /// The per-query reciprocal code norm of [`packed_similarity_to_all`] is
 /// skipped: it is one positive constant per query, so it scales every
@@ -249,32 +320,23 @@ pub fn packed_predict_batch(
     classes: &QuantizedMatrix,
     class_inv_norms: &[f32],
 ) -> Result<Vec<usize>, ShapeError> {
-    let (query_rows, query_cols) = queries.shape();
-    let (class_rows, class_cols) = classes.shape();
-    if query_cols != class_cols
-        || queries.width() != classes.width()
-        || class_inv_norms.len() != class_rows
-    {
-        return Err(ShapeError::new(
-            "packed_predict",
-            queries.shape(),
-            classes.shape(),
-        ));
-    }
-    let mut out = Vec::with_capacity(query_rows);
-    for r in 0..query_rows {
-        let mut best = 0usize;
-        let mut best_score = f32::NEG_INFINITY;
-        for (l, &inv_norm) in class_inv_norms.iter().enumerate() {
-            let score = queries.row_dot_widening(r, classes, l) as f32 * inv_norm;
-            if score > best_score {
-                best = l;
-                best_score = score;
+    let dots = integer_dots("packed_predict", queries, classes, class_inv_norms)?;
+    let k = class_inv_norms.len();
+    Ok((0..queries.shape().0)
+        .map(|r| {
+            let mut best = 0usize;
+            let mut best_score = f32::NEG_INFINITY;
+            for (l, (&dot, &inv_norm)) in dots[r * k..][..k].iter().zip(class_inv_norms).enumerate()
+            {
+                let score = dot as f32 * inv_norm;
+                if score > best_score {
+                    best = l;
+                    best_score = score;
+                }
             }
-        }
-        out.push(best);
-    }
-    Ok(out)
+            best
+        })
+        .collect())
 }
 
 /// Batched fully-integer **true-cosine** scores: the `samples × classes`
@@ -304,28 +366,13 @@ pub fn packed_cosine_matrix(
     classes: &QuantizedMatrix,
     class_inv_norms: &[f32],
 ) -> Result<Matrix, ShapeError> {
-    let (query_rows, query_cols) = queries.shape();
-    let (class_rows, class_cols) = classes.shape();
-    if query_cols != class_cols
-        || queries.width() != classes.width()
-        || class_inv_norms.len() != class_rows
-    {
-        return Err(ShapeError::new(
-            "packed_cosine",
-            queries.shape(),
-            classes.shape(),
-        ));
-    }
+    let dots = integer_dots("packed_cosine", queries, classes, class_inv_norms)?;
     let mut query_inv = Vec::new();
     queries.code_inv_norms_into(&mut query_inv);
-    let mut scores = Matrix::zeros(query_rows, class_rows);
-    for (r, &q_inv) in query_inv.iter().enumerate() {
-        let row = scores.row_mut(r);
-        for (l, &inv_norm) in class_inv_norms.iter().enumerate() {
-            row[l] = queries.row_dot_widening(r, classes, l) as f32 * q_inv * inv_norm;
-        }
-    }
-    Ok(scores)
+    let k = class_inv_norms.len();
+    Ok(Matrix::from_fn(queries.shape().0, k, |r, l| {
+        dots[r * k + l] as f32 * query_inv[r] * class_inv_norms[l]
+    }))
 }
 
 /// Full cosine similarity of `query` against each (unnormalized) row.
@@ -431,7 +478,6 @@ mod tests {
         assert!(exact_cosine_to_all(&[1.0, 2.0], &rows).is_err());
     }
 
-    use crate::quantize::BitWidth;
     use crate::test_util::lcg_matrix;
     use crate::TopK;
 
@@ -598,7 +644,7 @@ mod tests {
     #[test]
     fn packed_integer_similarity_exhaustive_grid() {
         // Exhaustive 2-D value grid per width (every pair of grid levels is
-        // a class row, every pair is also a query): the widening i8/i4/i2
+        // a class row, every pair is also a query): the integer i8/i4/i2
         // dots must rank exactly like dequantize-then-f32 wherever the
         // mathematical ordering is determined.
         for (width, levels) in [
@@ -775,5 +821,83 @@ mod tests {
                 assert_packed_matches_f32(&query, &classes);
             }
         }
+    }
+
+    /// Sets every bit of element `(r, c)`: the all-ones code is out of
+    /// range at 2/4/8 bits, so every reader must saturate it to `qmax`.
+    fn saturate_code(q: &mut QuantizedMatrix, r: usize, c: usize) {
+        let bits = q.width().bits();
+        let start = (r * q.shape().1 + c) * bits;
+        for b in start..start + bits {
+            if (q.as_words()[b / 64] >> (b % 64)) & 1 == 0 {
+                q.flip_bit(b);
+            }
+        }
+    }
+
+    #[test]
+    fn batched_integer_scorer_matches_the_scalar_oracle() {
+        // Every pair's dot equals `row_dot_widening`, and every score and
+        // argmax is bitwise the per-pair formula the batched scorer
+        // replaced.  The column counts put row starts mid-word and leave
+        // partial tail words; class row 2 is all zero, and flipped bits
+        // push codes out of range on both sides.
+        for cols in [37usize, 64, 130, 4097] {
+            let mut classes_f32 = lcg_matrix(5, cols, 0x5C ^ cols as u64);
+            classes_f32.row_mut(2).fill(0.0);
+            for w in BitWidth::all() {
+                let mut classes = QuantizedMatrix::quantize(&classes_f32, w);
+                saturate_code(&mut classes, 1, 0);
+                saturate_code(&mut classes, 4, cols - 1);
+                let mut inv_norms = Vec::new();
+                classes.code_inv_norms_into(&mut inv_norms);
+                for rows in [1usize, 2, 3, 33] {
+                    let queries_f32 = lcg_matrix(rows, cols, 0x5D ^ (rows * cols) as u64);
+                    let mut queries = QuantizedMatrix::quantize(&queries_f32, w);
+                    saturate_code(&mut queries, rows - 1, cols / 2);
+                    let mut query_inv = Vec::new();
+                    queries.code_inv_norms_into(&mut query_inv);
+                    let dots = integer_dots("test", &queries, &classes, &inv_norms).unwrap();
+                    let cosines = packed_cosine_matrix(&queries, &classes, &inv_norms).unwrap();
+                    let preds = packed_predict_batch(&queries, &classes, &inv_norms).unwrap();
+                    for r in 0..rows {
+                        let case = format!("{w}, D = {cols}, {rows} rows, query {r}");
+                        let mut best = (0usize, f32::NEG_INFINITY);
+                        for (l, &inv_norm) in inv_norms.iter().enumerate() {
+                            let oracle = queries.row_dot_widening(r, &classes, l);
+                            assert_eq!(dots[r * 5 + l], oracle, "{case}, class {l}");
+                            let cosine = oracle as f32 * query_inv[r] * inv_norm;
+                            assert_eq!(cosines.get(r, l).to_bits(), cosine.to_bits(), "{case}");
+                            let score = oracle as f32 * inv_norm;
+                            if score > best.1 {
+                                best = (l, score);
+                            }
+                        }
+                        assert_eq!(preds[r], best.0, "{case}");
+                    }
+                    if rows == 1 {
+                        let single =
+                            packed_similarity_to_all(&queries, &classes, &inv_norms).unwrap();
+                        assert_eq!(single.as_slice(), cosines.row(0), "{w}, D = {cols}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_scorer_widens_chunk_sums_past_i32() {
+        // D·127² = 140 000 · 16 129 exceeds i32::MAX, so the exact answer
+        // needs the i32 chunk sums widened to i64 (debug builds panic on
+        // an i32 overflow, release builds would wrap).
+        const D: usize = 140_000;
+        let full = QuantizedMatrix::quantize(&Matrix::filled(1, D, 1.0), BitWidth::B8);
+        let expected = D as i64 * 127 * 127;
+        assert!(expected > i64::from(i32::MAX));
+        assert_eq!(full.row_dot_widening(0, &full, 0), expected);
+        assert_eq!(
+            integer_dots("test", &full, &full, &[1.0]).unwrap(),
+            vec![expected]
+        );
     }
 }

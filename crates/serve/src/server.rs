@@ -120,9 +120,9 @@ pub struct ServerOptions {
     /// Score batches through the end-to-end integer pipeline
     /// ([`DeployedModel::predict_quantized_batch`]): the fused quantize
     /// epilogue packs encoded queries at the class memory's storage width
-    /// and similarity runs on XOR+popcount (1-bit) or widening integer
-    /// dots — no `f32` hypervector after featurization.  Defaults to
-    /// `false`, the f32-query scoring path.
+    /// and similarity runs on XOR+popcount (1-bit) or exact integer dots
+    /// in `i16` lanes — no `f32` hypervector after featurization.
+    /// Defaults to `false`, the f32-query scoring path.
     pub integer_pipeline: bool,
     /// How many times a shard's supervisor restarts a panicked worker
     /// before declaring the shard dead (failing its queue with
