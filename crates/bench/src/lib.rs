@@ -1,7 +1,6 @@
 //! # disthd-bench
 //!
-//! Shared harness for the experiment binaries and Criterion benches that
-//! regenerate every table and figure of the DistHD paper.  See
+//! Shared harness for the experiment binaries that regenerate every table and figure of the DistHD paper.  See
 //! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for the
 //! recorded paper-vs-measured comparison.
 

@@ -95,11 +95,9 @@ pub struct DistHdConfig {
     /// `disthd_hd::encoder::StructuredRbfEncoder`).
     pub encoder_backend: EncoderBackend,
     /// Butterfly pass order of the structured backend's Walsh–Hadamard
-    /// transforms (ignored by the dense backend).  Defaults to
-    /// [`FhtSchedule::Ascending`].  Schedules differ only in
-    /// floating-point rounding; each is bit-deterministic across kernel
-    /// tiers and thread counts, and the choice is never persisted — DHD
-    /// artifact bytes are schedule-independent.
+    /// transforms (ignored by the dense backend).
+    /// [`FhtSchedule::Ascending`] is the only schedule; it is never
+    /// persisted.
     pub fht_schedule: FhtSchedule,
 }
 

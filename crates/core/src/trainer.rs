@@ -77,8 +77,8 @@ impl DistHd {
         config.validate();
         let mut encoder =
             AnyRbfEncoder::new(config.encoder_backend, feature_dim, config.dim, config.seed);
-        // Schedule choice changes FHT rounding, never DHD bytes — applied
-        // to the live encoder only, a no-op on the dense backend.
+        // Applied to the live encoder only (never persisted); a no-op on
+        // the dense backend.
         encoder.set_fht_schedule(config.fht_schedule);
         Self {
             config,

@@ -104,17 +104,16 @@ struct BlockSpec {
 /// epilogue, so downstream behaviour (bandwidth, centering, quantization)
 /// is unchanged.
 ///
-/// ## Schedules and pruning
+/// ## Pruning
 ///
-/// The butterfly pass order defaults to [`FhtSchedule::Ascending`] and is
-/// set per encoder via [`StructuredRbfEncoder::set_fht_schedule`]; it is
-/// never persisted, so DHD artifacts are schedule-independent.  Under the default ascending
-/// schedule the third transform of every block runs with a final-stage
-/// [`FhtPrunePlan`] that elides butterflies whose both output lanes are
-/// dead — evicted to the dense overlay or beyond the consumed output
-/// width — and the copy + half-angle epilogue likewise skips dead lanes.
-/// Both skips are bitwise-invisible on live dims and tighten as
-/// [`RegenerativeEncoder::regenerate`] grows the overlay.
+/// Every block transform runs the ascending butterfly schedule
+/// ([`FhtSchedule::Ascending`], the only one).  The third transform of
+/// every block runs with a final-stage [`FhtPrunePlan`] that elides
+/// butterflies whose both output lanes are dead — evicted to the dense
+/// overlay or beyond the consumed output width — and the copy + half-angle
+/// epilogue likewise skips dead lanes.  Both skips are bitwise-invisible
+/// on live dims and tighten as [`RegenerativeEncoder::regenerate`] grows
+/// the overlay.
 ///
 /// ## Regeneration: the dense overlay
 ///
@@ -181,11 +180,9 @@ pub struct StructuredRbfEncoder {
     /// [`RegenerativeEncoder::regenerate`] call so the encode hot path
     /// never re-transposes or repacks.
     overlay_panel: PackedRhs,
-    /// Butterfly pass order for every block transform (never persisted).
+    /// Butterfly pass order reported by `fht_schedule` (never persisted;
+    /// ascending is the only order the transforms run).
     schedule: FhtSchedule,
-    /// Whether the final-stage prune plans are applied (ascending schedule
-    /// only; on by default — pruning is bitwise-invisible on live dims).
-    prune_enabled: bool,
     /// Per-block final-stage prune plan; `None` when the block is fully
     /// live (or too small to stage-prune).  Rebuilt on regeneration.
     prune_plans: Vec<Option<FhtPrunePlan>>,
@@ -334,7 +331,6 @@ impl StructuredRbfEncoder {
             overlay_rows: Matrix::zeros(0, input_dim),
             overlay_panel: PackedRhs::new(input_dim, 0),
             schedule: FhtSchedule::default(),
-            prune_enabled: true,
             prune_plans: Vec::new(),
             live_runs: Vec::new(),
             regenerated: 0,
@@ -413,29 +409,10 @@ impl StructuredRbfEncoder {
         self.schedule
     }
 
-    /// Overrides the butterfly pass order (defaults to
-    /// [`FhtSchedule::Ascending`] at construction).  Schedules differ in
-    /// floating-point rounding, so encoded values change in the low bits;
-    /// each schedule is bit-deterministic within itself across tiers and
-    /// thread counts.
+    /// Sets the butterfly pass order ([`FhtSchedule::Ascending`], the only
+    /// schedule, is also the construction default).
     pub fn set_fht_schedule(&mut self, schedule: FhtSchedule) {
         self.schedule = schedule;
-    }
-
-    /// Whether final-stage pruning and dead-lane epilogue skipping are
-    /// enabled (on by default).
-    pub fn final_stage_pruning(&self) -> bool {
-        self.prune_enabled
-    }
-
-    /// Enables or disables final-stage pruning and dead-lane epilogue
-    /// skipping.  Live output dims are bitwise-identical either way (the
-    /// benchmark's A/B switch); disabling only wastes work.
-    pub fn set_final_stage_pruning(&mut self, enabled: bool) {
-        if self.prune_enabled != enabled {
-            self.prune_enabled = enabled;
-            self.rebuild_prune_state();
-        }
     }
 
     /// Reassembles an encoder from persisted parts.
@@ -526,7 +503,6 @@ impl StructuredRbfEncoder {
             overlay_rows,
             overlay_panel,
             schedule: FhtSchedule::default(),
-            prune_enabled: true,
             prune_plans: Vec::new(),
             live_runs: Vec::new(),
             regenerated: 0,
@@ -547,18 +523,14 @@ impl StructuredRbfEncoder {
     /// Lane `l` of block `b` is *dead* when it maps past the output
     /// (`l ≥ out_width`) or its dim has been evicted to the overlay; dead
     /// lanes drop out of the final butterfly stage (both-dead pairs), the
-    /// copy and the trigonometric epilogue.  With pruning disabled every
-    /// in-range lane is treated as live (overlaid dims are then computed
-    /// and overwritten by the overlay pass, the pre-pruning behaviour).
+    /// copy and the trigonometric epilogue.
     fn rebuild_prune_state(&mut self) {
         self.prune_plans.clear();
         self.live_runs.clear();
         for spec in &self.blocks {
             let td = spec.transform_dim;
             let live = |lane: usize| {
-                lane < spec.out_width
-                    && (!self.prune_enabled
-                        || self.overlay_index[spec.out_start + lane] == NOT_OVERLAID)
+                lane < spec.out_width && self.overlay_index[spec.out_start + lane] == NOT_OVERLAID
             };
             let mut runs: Vec<(u32, u32)> = Vec::new();
             for lane in 0..spec.out_width {
@@ -583,9 +555,9 @@ impl StructuredRbfEncoder {
     /// for block `b`, with the `s₁` multiply fused into the window copy
     /// and `s₂`/`s₃` fused into their transforms' first passes (all
     /// bit-identical to multiplying first).  The first transform declares
-    /// the zero tail; the last carries the block's prune plan (ascending
-    /// schedule only).  No scale or nonlinearity — shared verbatim by the
-    /// batch encode and the partial re-encode so both are bit-identical.
+    /// the zero tail; the last carries the block's prune plan.  No scale
+    /// or nonlinearity — shared verbatim by the batch encode and the
+    /// partial re-encode so both are bit-identical.
     fn transform_block(&self, features: &[f32], b: usize, scratch: &mut [f32]) {
         let spec = &self.blocks[b];
         let td = spec.transform_dim;
@@ -598,32 +570,26 @@ impl StructuredRbfEncoder {
             *slot = f * s;
         }
         scratch[spec.window_len..].fill(0.0);
-        let schedule = self.schedule;
         fht_inplace_opts(
             scratch,
             &FhtOpts {
                 nonzero_len: spec.window_len,
-                ..FhtOpts::dense(schedule)
+                ..FhtOpts::dense()
             },
         );
         fht_inplace_opts(
             scratch,
             &FhtOpts {
                 first_stage_signs: Some(s2),
-                ..FhtOpts::dense(schedule)
+                ..FhtOpts::dense()
             },
         );
-        let prune = if self.prune_enabled && schedule == FhtSchedule::Ascending {
-            self.prune_plans[b].as_ref()
-        } else {
-            None
-        };
         fht_inplace_opts(
             scratch,
             &FhtOpts {
                 first_stage_signs: Some(s3),
-                prune,
-                ..FhtOpts::dense(schedule)
+                prune: self.prune_plans[b].as_ref(),
+                ..FhtOpts::dense()
             },
         );
     }
@@ -631,7 +597,7 @@ impl StructuredRbfEncoder {
     /// Structured pass for one sample: every *live* output dimension
     /// through the block transforms, scale and half-angle epilogue.
     /// Overlaid columns are skipped (the caller's overlay pass fills
-    /// them); with pruning disabled they are written and overwritten.
+    /// them).
     fn encode_structured_row(&self, features: &[f32], out: &mut [f32], scratch: &mut [f32]) {
         debug_assert_eq!(out.len(), self.output_dim);
         for (b, spec) in self.blocks.iter().enumerate() {
@@ -1236,51 +1202,26 @@ mod tests {
     fn pruning_toggle_is_bitwise_invisible_on_output() {
         // Pruning elides only both-dead butterflies and dead-lane
         // epilogues; the final encoded rows (overlay included) must be
-        // bit-identical with it on or off.
+        // bit-identical with it on or off.  "Off" clears the prune plans
+        // and marks every in-range lane live, so overlaid dims are
+        // computed by the structured pass and then overwritten.
         let mut enc = StructuredRbfEncoder::new(6, 300, RngSeed(31));
         let mut rng = SeededRng::new(RngSeed(32));
         let evict: Vec<usize> = (0..120).map(|i| (i * 7) % 300).collect();
         enc.regenerate(&evict, &mut rng);
+        assert!(enc.prune_plans.iter().any(|p| p.is_some()));
         let batch = Matrix::from_fn(9, 6, |r, c| ((r * 3 + c) as f32).cos() * 0.6);
         let pruned = enc.encode_batch(&batch).unwrap();
         let single_pruned = enc.encode(batch.row(0)).unwrap();
-        enc.set_final_stage_pruning(false);
-        assert!(!enc.final_stage_pruning());
+        enc.prune_plans.iter_mut().for_each(|p| *p = None);
+        enc.live_runs = enc
+            .blocks
+            .iter()
+            .map(|spec| vec![(0, spec.out_width as u32)])
+            .collect();
         let full = enc.encode_batch(&batch).unwrap();
         assert_eq!(pruned.as_slice(), full.as_slice());
         assert_eq!(single_pruned, enc.encode(batch.row(0)).unwrap());
-    }
-
-    #[test]
-    fn cascading_haar_schedule_is_deterministic_and_differs() {
-        let mut enc = encoder();
-        let input = [0.4, -0.6, 0.2, 0.9, -0.3, 0.1];
-        let ascending = enc.encode(&input).unwrap();
-        enc.set_fht_schedule(FhtSchedule::CascadingHaar);
-        assert_eq!(enc.fht_schedule(), FhtSchedule::CascadingHaar);
-        let haar_a = enc.encode(&input).unwrap();
-        let haar_b = enc.encode(&input).unwrap();
-        assert_eq!(haar_a, haar_b, "schedule must be deterministic");
-        assert_ne!(ascending, haar_a, "schedules reorder additions");
-        // Same kernel, different rounding: values stay close.
-        for (i, (&a, &h)) in ascending.iter().zip(haar_a.iter()).enumerate() {
-            assert!((a - h).abs() < 1e-3, "dim {i}: {a} vs {h}");
-        }
-    }
-
-    #[test]
-    fn cascading_haar_batch_is_bit_identical_across_thread_counts() {
-        let mut enc = StructuredRbfEncoder::new(6, 1030, RngSeed(21));
-        enc.set_fht_schedule(FhtSchedule::CascadingHaar);
-        let batch = Matrix::from_fn(19, 6, |r, c| ((r + 2 * c) as f32).sin() * 0.4 + 0.5);
-        let serial =
-            disthd_linalg::parallel::with_thread_count(1, || enc.encode_batch(&batch).unwrap());
-        for threads in [2usize, 8] {
-            let parallel = disthd_linalg::parallel::with_thread_count(threads, || {
-                enc.encode_batch(&batch).unwrap()
-            });
-            assert_eq!(serial.as_slice(), parallel.as_slice(), "{threads} threads");
-        }
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! once the projection itself is cache-blocked.  `libm`'s `sinf` is a
 //! scalar call whose result can differ between libm builds, which would
 //! make encode output machine-dependent and rules out a vectorized twin.
-//! This module replaces it with [`sin_det`], an in-tree sine whose scalar
-//! and AVX2 evaluations perform the *identical* sequence of IEEE-754
-//! double-precision operations per element:
+//! This module replaces it with [`sin_det`], an in-tree sine built from a
+//! fixed sequence of IEEE-754 double-precision operations per element:
 //!
 //! 1. reduce `x = n·π + r`, `r ∈ [−π/2, π/2)`, with `n = ⌊x/π + ½⌋` and a
 //!    two-term Cody–Waite subtraction (`PI_HI + PI_LO`),
@@ -18,20 +17,16 @@
 //!
 //! Every step is a plain multiply / add / subtract / floor / convert —
 //! each correctly rounded and lane-wise identical in scalar and SIMD form
-//! — so results are bit-identical across tiers, thread counts, *and*
-//! machines (no FMA contraction anywhere).  Inputs beyond `|x| ≈ 1e6`
+//! — so results are bit-identical across vector widths, thread counts,
+//! *and* machines (Rust never contracts to FMA).  Inputs beyond `|x| ≈ 1e6`
 //! lose accuracy to the two-term reduction (encode arguments are small);
 //! the result is still deterministic.
 //!
 //! [`half_angle_row`] applies the full fused-RBF store phase
 //! (`scale → 2p + c → sin_det → ½(s − sin c)`) over a contiguous output
-//! row, dispatching to an 8-lane AVX2 kernel when the host supports it.
-
-// SIMD intrinsics are inherently `unsafe`; every call site is guarded by a
-// runtime `avx2` feature check and the vector kernels perform exactly the
-// scalar op sequence (see the module docs), so safety reduces to the
-// feature gate.
-#![allow(unsafe_code)]
+//! row as a plain loop, which the autovectorizer turns into packed f64
+//! arithmetic under `target-cpu=native`; a hand-written AVX2 kernel
+//! measured no faster.
 
 /// `1/π`, rounded to f64.
 const INV_PI: f64 = core::f64::consts::FRAC_1_PI;
@@ -49,8 +44,8 @@ const C11: f64 = -1.0 / 39_916_800.0;
 const C13: f64 = 1.0 / 6_227_020_800.0;
 const C15: f64 = -1.0 / 1_307_674_368_000.0;
 
-/// Deterministic sine: bit-identical on every tier, thread count and
-/// machine (see the module docs for the op sequence and accuracy
+/// Deterministic sine: bit-identical on every vector width, thread count
+/// and machine (see the module docs for the op sequence and accuracy
 /// domain).
 ///
 /// # Example
@@ -83,8 +78,7 @@ pub fn sin_det(x: f32) -> f32 {
 /// The fused RBF store-phase nonlinearity for one element:
 /// `0.5 · (sin_det(2·projection + phase) − phase_sin)`.
 ///
-/// This is the scalar reference the vectorized [`half_angle_row`] is
-/// bit-identical to.
+/// This is the scalar reference [`half_angle_row`] is bit-identical to.
 #[inline]
 pub fn half_angle(projection: f32, phase: f32, phase_sin: f32) -> f32 {
     0.5 * (sin_det(2.0 * projection + phase) - phase_sin)
@@ -95,98 +89,15 @@ pub fn half_angle(projection: f32, phase: f32, phase_sin: f32) -> f32 {
 /// projections — multiplying by one is an exact no-op, so the result is
 /// bit-identical to the unscaled form).
 ///
-/// Dispatches to an AVX2 8-lane kernel when available; the vector kernel
-/// performs the identical per-element op sequence, so output is
-/// bit-identical to the scalar loop.
-///
 /// # Panics
 ///
 /// Panics if `phases` or `phase_sins` differ in length from `row`.
 pub fn half_angle_row(row: &mut [f32], scale: f32, phases: &[f32], phase_sins: &[f32]) {
     assert_eq!(row.len(), phases.len(), "phase length mismatch");
     assert_eq!(row.len(), phase_sins.len(), "phase_sin length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: the host supports AVX2 (runtime-checked above).
-        unsafe { half_angle_row_avx2(row, scale, phases, phase_sins) };
-        return;
+    for ((v, &phase), &phase_sin) in row.iter_mut().zip(phases).zip(phase_sins) {
+        *v = half_angle(*v * scale, phase, phase_sin);
     }
-    half_angle_row_portable(row, scale, phases, phase_sins);
-}
-
-fn half_angle_row_portable(row: &mut [f32], scale: f32, phases: &[f32], phase_sins: &[f32]) {
-    for j in 0..row.len() {
-        row[j] = half_angle(row[j] * scale, phases[j], phase_sins[j]);
-    }
-}
-
-/// Runtime AVX2 availability, memoized (same pattern as the GEMM tier).
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn avx2_available() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn half_angle_row_avx2(row: &mut [f32], scale: f32, phases: &[f32], phase_sins: &[f32]) {
-    use core::arch::x86_64::*;
-    let len = row.len();
-    let main = len - len % 8;
-    let scale8 = _mm256_set1_ps(scale);
-    let two8 = _mm256_set1_ps(2.0);
-    let half8 = _mm256_set1_ps(0.5);
-    let mut j = 0;
-    while j < main {
-        let v = _mm256_loadu_ps(row.as_ptr().add(j));
-        let c = _mm256_loadu_ps(phases.as_ptr().add(j));
-        let cs = _mm256_loadu_ps(phase_sins.as_ptr().add(j));
-        // t = 2·(v·scale) + phase, same two-rounding order as the scalar.
-        let p = _mm256_mul_ps(v, scale8);
-        let t = _mm256_add_ps(_mm256_mul_ps(two8, p), c);
-        let lo = sin_det_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(t)));
-        let hi = sin_det_pd(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(t)));
-        let s = _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
-        let out = _mm256_mul_ps(half8, _mm256_sub_ps(s, cs));
-        _mm256_storeu_ps(row.as_mut_ptr().add(j), out);
-        j += 8;
-    }
-    for j in main..len {
-        row[j] = half_angle(row[j] * scale, phases[j], phase_sins[j]);
-    }
-}
-
-/// Four-lane f64 twin of [`sin_det`]'s core: the identical op sequence on
-/// a `__m256d`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sin_det_pd(x: core::arch::x86_64::__m256d) -> core::arch::x86_64::__m256d {
-    use core::arch::x86_64::*;
-    let half = _mm256_set1_pd(0.5);
-    let n = _mm256_floor_pd(_mm256_add_pd(
-        _mm256_mul_pd(x, _mm256_set1_pd(INV_PI)),
-        half,
-    ));
-    let r = _mm256_sub_pd(
-        _mm256_sub_pd(x, _mm256_mul_pd(n, _mm256_set1_pd(PI_HI))),
-        _mm256_mul_pd(n, _mm256_set1_pd(PI_LO)),
-    );
-    let z = _mm256_mul_pd(r, r);
-    let mut p = _mm256_set1_pd(C15);
-    p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(C13));
-    p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(C11));
-    p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(C9));
-    p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(C7));
-    p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(C5));
-    p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(C3));
-    let s = _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(p, z), r));
-    let halfn = _mm256_mul_pd(n, half);
-    let frac = _mm256_sub_pd(halfn, _mm256_floor_pd(halfn));
-    let sign = _mm256_sub_pd(
-        _mm256_set1_pd(1.0),
-        _mm256_mul_pd(_mm256_set1_pd(4.0), frac),
-    );
-    _mm256_mul_pd(s, sign)
 }
 
 #[cfg(test)]
@@ -238,8 +149,8 @@ mod tests {
 
     #[test]
     fn half_angle_row_is_bit_identical_to_scalar() {
-        // Cover every tail length so the 8-lane kernel's remainder path
-        // and the main loop both face the scalar reference.
+        // Cover every tail length so the vectorized main loop and its
+        // remainder both face the scalar reference.
         for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 31, 67, 256] {
             let phases = lcg_values(len, 0xC0FFEE, core::f32::consts::PI);
             let phase_sins: Vec<f32> = phases.iter().map(|&c| sin_det(c)).collect();

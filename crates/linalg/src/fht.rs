@@ -10,14 +10,13 @@
 //! ## Determinism
 //!
 //! The butterfly schedule is **globally ascending in stride** — stride 1
-//! first, `n/2` last — regardless of blocking or arithmetic tier.  Every
-//! butterfly is one add and one subtract of the same two operands in every
-//! tier, so results are **bit-identical** across tiers and identical to the
-//! naive ascending loop.  (The cache-blocked order below performs stride-`s`
-//! passes inside each L1 block before any cross-block pass; since a
-//! stride-`s` butterfly only ever pairs elements within one `2s`-aligned
-//! group, this reorders *independent* butterflies and touches no operand
-//! early — the per-element operation sequence is unchanged.)
+//! first, `n/2` last — regardless of blocking.  Every butterfly is one add
+//! and one subtract of the same two operands, so results are identical to
+//! the naive ascending loop.  (The cache-blocked order below performs
+//! stride-`s` passes inside each L1 block before any cross-block pass;
+//! since a stride-`s` butterfly only ever pairs elements within one
+//! `2s`-aligned group, this reorders *independent* butterflies and touches
+//! no operand early — the per-element operation sequence is unchanged.)
 //!
 //! ## Performance shape
 //!
@@ -28,81 +27,40 @@
 //! * **Radix-8 base** — strides 1, 2 and 4 are a fully unrolled in-register
 //!   kernel ([`butterfly8`]); those strides are shuffle-bound when expressed
 //!   as slice loops, and they account for 3 of the 12 passes at `n = 4096`.
-//! * **SIMD tiers** — the cross passes (stride ≥ 8, contiguous dual-stream
-//!   add/sub) run autovectorized by default, with a runtime-detected
-//!   AVX2 `std::arch` tier on x86_64, mirroring the GEMM's `KernelTier`.
-//!   Tiers never change results (adds and subtracts of identical operands).
+//! * **Vector passes** — the cross passes (stride ≥ 8) are contiguous
+//!   dual-stream add/sub loops, which the autovectorizer turns into
+//!   full-width `vaddps`/`vsubps` pairs under `target-cpu=native`;
+//!   hand-written AVX2 intrinsics measured no faster.
 //!
-//! ## Schedules, zero tails and pruning
+//! ## Zero tails, fused signs and pruning
 //!
 //! [`fht_inplace_opts`] layers three refinements over the plain transform,
 //! all driven by [`FhtOpts`]:
 //!
-//! * **Schedules** ([`FhtSchedule`]) — the stage matrices `I ⊗ H₂ ⊗ I`
-//!   commute exactly, so any stride order computes the same transform with
-//!   (possibly) different floating-point rounding.  `Ascending` is the
-//!   default above; `CascadingHaar` is the in-place realization of the
-//!   cascading-Haar factorization `H_n = (I₂ ⊗ H_{n/2})·(H₂ ⊗ I_{n/2})`
-//!   (Thompson, arXiv:1609.06641) — recurse after a stride-`n/2` butterfly,
-//!   which flattens to the **descending**-stride pass order.  Each schedule
-//!   is bit-identical to itself across tiers and blockings; the two
-//!   schedules are *not* bit-identical to each other.
 //! * **Zero-aware front end** (`nonzero_len`) — when the caller guarantees
 //!   a `+0.0` tail (zero-padded input), early passes skip all-zero groups
 //!   outright and specialize straddling groups to `lo ← lo + 0.0`,
 //!   `hi ← lo` (copy) — bit-identical to the full butterfly because
 //!   `x − 0.0 ≡ x` and `x + 0.0` only normalizes `−0.0`, exactly as the
 //!   true add would against a `+0.0` operand.
+//! * **Fused signs** (`first_stage_signs`) — a ±1 diagonal folded into
+//!   the radix-8 base's loads, bit-identical to multiplying first.
 //! * **Pruned back end** ([`FhtPrunePlan`]) — the final stride-`n/2` stage
 //!   is the only stage whose butterflies feed exactly two output lanes
 //!   each, so a butterfly whose *both* outputs are dead (evicted to the
 //!   encoder's dense overlay, or beyond the consumed width) can be elided
 //!   without touching any live lane.  Live lanes see the identical
 //!   operation sequence, hence stay bitwise equal to the unpruned
-//!   transform.  Pruning applies to the `Ascending` schedule only (under
-//!   `CascadingHaar` the final stage has stride 1 and its pairs do not map
-//!   onto the lane mask the same way); plans are ignored there.
-
-use std::sync::OnceLock;
+//!   transform.
 
 /// Largest sub-transform run to completion inside one cache block:
 /// 4096 f32 = 16 KiB, resident in a 32 KiB L1 alongside its write stream.
 const FHT_BLOCK: usize = 4096;
 
 /// Dead-pair gaps shorter than this are computed rather than skipped when
-/// building an [`FhtPrunePlan`] — one AVX2 step covers 8 pairs, so a
-/// shorter skip fragments the vector loop for no net win.
+/// building an [`FhtPrunePlan`] — one 256-bit vector step covers 8 pairs,
+/// so a shorter skip fragments the vector loop for no net win.
 const PRUNE_MERGE_GAP: u32 = 8;
-
-/// Which implementation executes the stride ≥ 8 butterfly passes.
-///
-/// Both tiers perform the identical adds/subtracts in the identical order,
-/// so runtime detection never changes results — asserted by a parity test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FhtTier {
-    /// Plain slice loops; the autovectorizer handles them well under
-    /// `target-cpu=native`, and they are the fallback everywhere.
-    Portable,
-    /// Explicit 256-bit `std::arch` loads/adds/subs, selected by runtime
-    /// AVX2 detection on x86_64.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-/// Resolves the butterfly tier once per process (mirrors the GEMM's
-/// `kernel_tier`).
-fn fht_tier() -> FhtTier {
-    static TIER: OnceLock<FhtTier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return FhtTier::Avx2;
-            }
-        }
-        FhtTier::Portable
-    })
-}
 
 /// Applies the unnormalized Walsh–Hadamard transform to `data` in place.
 ///
@@ -127,12 +85,6 @@ fn fht_tier() -> FhtTier {
 /// Panics if `data.len()` is not a power of two (callers zero-pad; the
 /// structured encoder rounds its block size up to the next power of two).
 pub fn fht_inplace(data: &mut [f32]) {
-    fht_inplace_tier(data, fht_tier());
-}
-
-/// [`fht_inplace`] with an explicit butterfly tier — the parity-test entry
-/// point (the public API always uses the runtime-resolved tier).
-fn fht_inplace_tier(data: &mut [f32], tier: FhtTier) {
     let n = data.len();
     if n <= 1 {
         return;
@@ -146,34 +98,29 @@ fn fht_inplace_tier(data: &mut [f32], tier: FhtTier) {
     // log2(FHT_BLOCK) passes).
     let block = n.min(FHT_BLOCK);
     for chunk in data.chunks_mut(block) {
-        fht_in_cache(chunk, tier);
+        fht_in_cache(chunk);
     }
     // Streaming phase: the remaining strides pair elements across blocks.
     let mut stride = block;
     while stride < n {
-        cross_pass(data, stride, tier);
+        cross_pass(data, stride);
         stride <<= 1;
     }
 }
 
 /// Full transform of one cache-resident block (`len ≤ FHT_BLOCK`).
-fn fht_in_cache(data: &mut [f32], tier: FhtTier) {
+fn fht_in_cache(data: &mut [f32]) {
     let n = data.len();
-    if n < 8 {
-        // n ∈ {2, 4}: too short for the radix-8 base kernel.
-        let mut stride = 1;
-        while stride < n {
-            cross_pass_portable(data, stride);
-            stride <<= 1;
+    let mut stride = 1;
+    if n >= 8 {
+        for group in data.chunks_exact_mut(8) {
+            butterfly8(group);
         }
-        return;
+        stride = 8;
     }
-    for group in data.chunks_exact_mut(8) {
-        butterfly8(group);
-    }
-    let mut stride = 8;
+    // n ∈ {2, 4} is too short for the radix-8 base kernel.
     while stride < n {
-        cross_pass(data, stride, tier);
+        cross_pass(data, stride);
         stride <<= 1;
     }
 }
@@ -202,95 +149,62 @@ fn butterfly8(x: &mut [f32]) {
     x[7] = b3 - b7;
 }
 
-/// One stride-`s` butterfly pass, tier-dispatched.
-#[allow(unsafe_code)]
-#[inline]
-fn cross_pass(data: &mut [f32], stride: usize, tier: FhtTier) {
-    match tier {
-        FhtTier::Portable => cross_pass_portable(data, stride),
-        // SAFETY: the Avx2 tier is only ever constructed after runtime
-        // AVX2 detection (see `fht_tier`).
-        #[cfg(target_arch = "x86_64")]
-        FhtTier::Avx2 => unsafe { cross_pass_avx2(data, stride) },
-    }
-}
-
-/// One stride-`s` pass in plain slice loops: for every `2s`-aligned group,
-/// `(lo, hi) ← (lo + hi, lo − hi)` lane by lane.  The two streams are
-/// contiguous, so the autovectorizer emits full-width add/sub pairs.
-fn cross_pass_portable(data: &mut [f32], stride: usize) {
+/// One stride-`s` butterfly pass: for every `2s`-aligned group,
+/// `(lo, hi) ← (lo + hi, lo − hi)` lane by lane.
+fn cross_pass(data: &mut [f32], stride: usize) {
     for group in data.chunks_exact_mut(2 * stride) {
         let (lo, hi) = group.split_at_mut(stride);
-        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-            let (x, y) = (*a, *b);
-            *a = x + y;
-            *b = x - y;
-        }
+        dual_stream_add_sub(lo, hi);
     }
 }
 
-/// One stride-`s` pass (`s ≥ 8`) in explicit AVX2 intrinsics: per step, two
-/// 256-bit loads feed one `vaddps` and one `vsubps` — the same adds and
-/// subtracts of the same operands as [`cross_pass_portable`], hence
-/// bit-identical results.
+/// `(lo, hi) ← (lo + hi, lo − hi)` lane by lane over two equal-length
+/// streams — one butterfly run at an arbitrary offset and length.
 ///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime (see
-/// [`fht_tier`]); `stride` must be a multiple of 8 and `data.len()` a
-/// multiple of `2 * stride`.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[target_feature(enable = "avx2")]
-unsafe fn cross_pass_avx2(data: &mut [f32], stride: usize) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(stride % 8, 0);
-    debug_assert_eq!(data.len() % (2 * stride), 0);
-    let mut group = data.as_mut_ptr();
-    let groups = data.len() / (2 * stride);
-    for _ in 0..groups {
-        let lo_base = group;
-        let hi_base = group.add(stride);
-        for j in (0..stride).step_by(8) {
-            let lo = lo_base.add(j);
-            let hi = hi_base.add(j);
-            let x = _mm256_loadu_ps(lo);
-            let y = _mm256_loadu_ps(hi);
-            _mm256_storeu_ps(lo, _mm256_add_ps(x, y));
-            _mm256_storeu_ps(hi, _mm256_sub_ps(x, y));
+/// The streams are walked in fixed 8-lane chunks, each of which compiles
+/// to one 256-bit add/sub pair.  A plain lane loop vectorizes 16 lanes at
+/// a time and drops the stride-8 pass into 4-lane remainder code.
+#[inline]
+fn dual_stream_add_sub(lo: &mut [f32], hi: &mut [f32]) {
+    debug_assert_eq!(lo.len(), hi.len());
+    let mut lo8 = lo.chunks_exact_mut(8);
+    let mut hi8 = hi.chunks_exact_mut(8);
+    for (a, b) in (&mut lo8).zip(&mut hi8) {
+        let a: &mut [f32; 8] = a.try_into().expect("8-lane chunk");
+        let b: &mut [f32; 8] = b.try_into().expect("8-lane chunk");
+        for j in 0..8 {
+            let (x, y) = (a[j], b[j]);
+            a[j] = x + y;
+            b[j] = x - y;
         }
-        group = group.add(2 * stride);
+    }
+    for (a, b) in lo8
+        .into_remainder()
+        .iter_mut()
+        .zip(hi8.into_remainder().iter_mut())
+    {
+        let (x, y) = (*a, *b);
+        *a = x + y;
+        *b = x - y;
     }
 }
 
 /// Butterfly pass order of the in-place Walsh–Hadamard transform.
 ///
-/// Every schedule computes the exact same linear transform (the stage
-/// matrices commute), but floating-point rounding differs between
-/// schedules, so each is bit-deterministic **within itself** — across
-/// tiers, blockings and thread counts — while two schedules generally
-/// disagree in the low bits.  Chosen per encoder (the default is
-/// [`FhtSchedule::Ascending`]); never persisted, so model artifacts are
-/// schedule-independent.
+/// One schedule remains: the ascending-stride order every kernel in this
+/// module implements.  The enum is kept so encoders and configurations can
+/// name the order they run; it is never persisted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FhtSchedule {
-    /// Stride 1 first, `n/2` last — the radix-8 blocked default, and the
-    /// only schedule the final-stage [`FhtPrunePlan`] applies to.
+    /// Stride 1 first, `n/2` last — the radix-8 blocked transform.
     #[default]
     Ascending,
-    /// Cascading-Haar order (Thompson, arXiv:1609.06641): the recursive
-    /// factorization `H_n = (I₂ ⊗ H_{n/2})·(H₂ ⊗ I_{n/2})` applied in
-    /// place, which executes strides descending from `n/2` to 1.  Under a
-    /// zero tail this order keeps whole groups zero at *every* level, so
-    /// its zero-aware skip persists where the ascending schedule's erodes.
-    CascadingHaar,
 }
 
 impl std::fmt::Display for FhtSchedule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             FhtSchedule::Ascending => "ascending",
-            FhtSchedule::CascadingHaar => "cascading-haar",
         })
     }
 }
@@ -305,9 +219,9 @@ impl std::fmt::Display for FhtSchedule {
 /// branch.  Dead pairs are skipped entirely, leaving garbage in dead
 /// lanes — sound because dead lanes are, by definition, never read.
 ///
-/// Runs separated by fewer than 8 dead pairs (one AVX2 step) are
-/// coalesced: computing a dead pair's butterfly writes its *true* value
-/// (which nobody reads), and that costs less than fragmenting the
+/// Runs separated by fewer than 8 dead pairs (one 256-bit vector step)
+/// are coalesced: computing a dead pair's butterfly writes its *true*
+/// value (which nobody reads), and that costs less than fragmenting the
 /// vectorized dual-stream loop.  Pruning therefore only elides work where
 /// the dead region is wide enough to beat vector-width overheads — for
 /// scattered eviction the plan degenerates to full and the dense fast
@@ -372,15 +286,13 @@ impl FhtPrunePlan {
     }
 }
 
-/// Options for [`fht_inplace_opts`] — schedule, zero-tail extent, fused
-/// first-stage diagonal and final-stage prune plan.  Construct through
+/// Options for [`fht_inplace_opts`] — zero-tail extent, fused first-stage
+/// diagonal and final-stage prune plan.  Construct through
 /// [`FhtOpts::dense`] and override fields as needed (there is no
 /// `Default`: a defaulted `nonzero_len` of 0 would silently declare the
 /// whole input zero).
 #[derive(Debug, Clone, Copy)]
 pub struct FhtOpts<'a> {
-    /// Butterfly pass order.
-    pub schedule: FhtSchedule,
     /// Leading lanes that may be nonzero.  **Contract:** every lane at
     /// index `>= nonzero_len` must hold `+0.0` *bits* (the natural state
     /// of a freshly zero-padded buffer); the zero-aware passes then skip
@@ -393,16 +305,14 @@ pub struct FhtOpts<'a> {
     /// input (`nonzero_len >= data.len()`): a `−1` sign on a zero lane
     /// would mint `−0.0` and break the zero-tail bit contract.
     pub first_stage_signs: Option<&'a [f32]>,
-    /// Optional final-stage prune plan ([`Ascending`](FhtSchedule) only;
-    /// ignored under `CascadingHaar`).
+    /// Optional final-stage prune plan.
     pub prune: Option<&'a FhtPrunePlan>,
 }
 
 impl<'a> FhtOpts<'a> {
-    /// Dense, unpruned transform under `schedule`.
-    pub fn dense(schedule: FhtSchedule) -> Self {
+    /// Dense, unpruned transform.
+    pub fn dense() -> Self {
         Self {
-            schedule,
             nonzero_len: usize::MAX,
             first_stage_signs: None,
             prune: None,
@@ -410,7 +320,7 @@ impl<'a> FhtOpts<'a> {
     }
 }
 
-/// [`fht_inplace`] with an explicit schedule, zero-tail extent, fused
+/// [`fht_inplace`] with an explicit zero-tail extent, fused
 /// first-stage sign diagonal and final-stage prune plan — the structured
 /// encoder's entry point (see the module docs for the soundness
 /// arguments).  With default options this is exactly [`fht_inplace`].
@@ -421,11 +331,6 @@ impl<'a> FhtOpts<'a> {
 /// `first_stage_signs` is present with the wrong length or a non-dense
 /// `nonzero_len`, or if `prune` was built for a different length.
 pub fn fht_inplace_opts(data: &mut [f32], opts: &FhtOpts) {
-    fht_inplace_opts_tier(data, opts, fht_tier());
-}
-
-/// [`fht_inplace_opts`] with an explicit butterfly tier (parity tests).
-fn fht_inplace_opts_tier(data: &mut [f32], opts: &FhtOpts, tier: FhtTier) {
     let n = data.len();
     let mut signs = opts.first_stage_signs;
     if let Some(s) = signs {
@@ -458,31 +363,23 @@ fn fht_inplace_opts_tier(data: &mut [f32], opts: &FhtOpts, tier: FhtTier) {
         // everywhere — already in place.
         return;
     }
-    if n < 16 {
-        // Tiny transforms: fusing signs into a radix-8 base would collide
-        // with the descending schedule's first pass at n = 8 (and with the
-        // pruned final pass at n = 2); a plain upfront multiply costs
-        // nothing here and keeps every downstream branch simple.  The
-        // bits are unchanged either way — the multiply happens before any
-        // butterfly touches the lane.
+    if n < 8 {
+        // n ∈ {2, 4} has no radix-8 base to fuse the signs into; a plain
+        // upfront multiply keeps the bits (it happens before any
+        // butterfly touches the lane).
         if let Some(s) = signs.take() {
             for (v, &sg) in data.iter_mut().zip(s) {
                 *v *= sg;
             }
         }
     }
-    match opts.schedule {
-        FhtSchedule::Ascending => {
-            let prune = opts.prune.filter(|p| !p.is_full());
-            if nz >= n && signs.is_none() && prune.is_none() {
-                // Dense unpruned: the cache-blocked radix-8 fast path
-                // (bit-identical to the plain ascending loop below).
-                fht_inplace_tier(data, tier);
-            } else {
-                fht_ascending_opts(data, nz, signs, prune, tier);
-            }
-        }
-        FhtSchedule::CascadingHaar => fht_haar_opts(data, nz, signs, tier),
+    let prune = opts.prune.filter(|p| !p.is_full());
+    if nz >= n && signs.is_none() && prune.is_none() {
+        // Dense unpruned: the cache-blocked radix-8 fast path
+        // (bit-identical to the plain ascending loop below).
+        fht_inplace(data);
+    } else {
+        fht_ascending_opts(data, nz, signs, prune);
     }
 }
 
@@ -501,12 +398,11 @@ fn fht_ascending_opts(
     nz: usize,
     signs: Option<&[f32]>,
     prune: Option<&FhtPrunePlan>,
-    tier: FhtTier,
 ) {
     let n = data.len();
     if n < 8 {
         // n ∈ {2, 4}: signs were multiplied upfront; generic ladder.
-        ascending_streaming(data, 1, nz, prune, tier);
+        ascending_streaming(data, 1, nz, prune);
         return;
     }
     let ext = if let Some(s) = signs {
@@ -525,7 +421,7 @@ fn fht_ascending_opts(
         }
         live
     };
-    ascending_streaming(data, 8, ext, prune, tier);
+    ascending_streaming(data, 8, ext, prune);
 }
 
 /// Ascending passes from `start_stride` to `n/2`, with zero-tail extent
@@ -543,7 +439,6 @@ fn ascending_streaming(
     start_stride: usize,
     mut ext: usize,
     prune: Option<&FhtPrunePlan>,
-    tier: FhtTier,
 ) {
     let n = data.len();
     let mut stride = start_stride;
@@ -554,18 +449,16 @@ fn ascending_streaming(
                 // Correct regardless of `ext`: lanes past the extent
                 // physically hold +0.0, so the plain butterfly over them
                 // *is* the true operation.
-                pruned_final_pass(data, plan, tier);
+                pruned_final_pass(data, plan);
                 break;
             }
         }
         if ext >= n {
-            cross_pass_any(data, stride, tier);
+            cross_pass(data, stride);
         } else {
             let full_groups = ext / group;
             let (dense_part, rest) = data.split_at_mut(full_groups * group);
-            if full_groups > 0 {
-                cross_pass_any(dense_part, stride, tier);
-            }
+            cross_pass(dense_part, stride);
             let rel = ext - full_groups * group;
             if rel > 0 {
                 zero_tail_group(&mut rest[..group], stride, rel);
@@ -578,99 +471,6 @@ fn ascending_streaming(
     }
 }
 
-/// Cascading-Haar schedule: strides descending from `n/2` to 1, with
-/// zero-tail skipping and optional signs fused into the first pass.
-///
-/// After a stride-`s` pass, every `s`-aligned group's nonzero prefix is
-/// `min(rel, s)` where `rel` was the (uniform) prefix of its parent
-/// `2s`-group — so a short prefix persists down every level and the
-/// skipped work *compounds*, unlike the ascending schedule where the
-/// extent grows each pass.
-fn fht_haar_opts(data: &mut [f32], nz: usize, signs: Option<&[f32]>, tier: FhtTier) {
-    let n = data.len();
-    let mut rel = nz;
-    let mut stride = n / 2;
-    if let Some(s) = signs {
-        // Dense by contract; one group at stride n/2.  Only reachable for
-        // n >= 16 (smaller transforms multiply upfront), so this pass
-        // never overlaps the radix-8 tail kernel below.
-        let (lo, hi) = data.split_at_mut(stride);
-        let (slo, shi) = s.split_at(stride);
-        for j in 0..stride {
-            let a = lo[j] * slo[j];
-            let b = hi[j] * shi[j];
-            lo[j] = a + b;
-            hi[j] = a - b;
-        }
-        rel = rel.min(stride);
-        stride /= 2;
-    }
-    if n >= 8 {
-        while stride >= 8 {
-            let group = 2 * stride;
-            if rel >= group {
-                cross_pass_any(data, stride, tier);
-            } else {
-                // Every group has the same nonzero prefix `rel`.
-                for g in data.chunks_exact_mut(group) {
-                    zero_tail_group(g, stride, rel);
-                }
-            }
-            rel = rel.min(stride);
-            stride /= 2;
-        }
-        // Strides 4, 2, 1 in registers.  Per 8-group this performs the
-        // same operand pairs in the same order as three descending
-        // per-stride passes, and groups are independent at these strides,
-        // so the result is bit-identical to the pass-by-pass ladder.  Any
-        // zero tail inside a group holds true +0.0 lanes, for which the
-        // full butterfly is exact.
-        for g in data.chunks_exact_mut(8) {
-            butterfly8_descending(g);
-        }
-    } else {
-        while stride >= 1 {
-            let group = 2 * stride;
-            if rel >= group {
-                cross_pass_portable(data, stride);
-            } else {
-                for g in data.chunks_exact_mut(group) {
-                    zero_tail_group(g, stride, rel);
-                }
-            }
-            rel = rel.min(stride);
-            if stride == 1 {
-                break;
-            }
-            stride /= 2;
-        }
-    }
-}
-
-/// Strides 4, 2 and 1 of one 8-element group in **descending** order —
-/// the cascading-Haar counterpart of [`butterfly8`].  Pairs (0,4)(1,5)…,
-/// then (0,2)(1,3)(4,6)(5,7), then (0,1)(2,3)(4,5)(6,7): exactly the
-/// per-stride descending ladder's operation sequence, kept in registers.
-#[inline]
-fn butterfly8_descending(x: &mut [f32]) {
-    let (a0, a4) = (x[0] + x[4], x[0] - x[4]);
-    let (a1, a5) = (x[1] + x[5], x[1] - x[5]);
-    let (a2, a6) = (x[2] + x[6], x[2] - x[6]);
-    let (a3, a7) = (x[3] + x[7], x[3] - x[7]);
-    let (b0, b2) = (a0 + a2, a0 - a2);
-    let (b1, b3) = (a1 + a3, a1 - a3);
-    let (b4, b6) = (a4 + a6, a4 - a6);
-    let (b5, b7) = (a5 + a7, a5 - a7);
-    x[0] = b0 + b1;
-    x[1] = b0 - b1;
-    x[2] = b2 + b3;
-    x[3] = b2 - b3;
-    x[4] = b4 + b5;
-    x[5] = b4 - b5;
-    x[6] = b6 + b7;
-    x[7] = b6 - b7;
-}
-
 /// One stride-`s` butterfly over a single `2s` group whose nonzero lanes
 /// are the prefix `[0, rel)` with `0 < rel < 2s`.  Pairs with a zero `hi`
 /// operand specialize to `lo ← lo + 0.0` (normalizes a potential `−0.0`,
@@ -680,11 +480,7 @@ fn zero_tail_group(group: &mut [f32], stride: usize, rel: usize) {
     debug_assert!(rel > 0 && rel < group.len());
     let (lo, hi) = group.split_at_mut(stride);
     let dense = rel.saturating_sub(stride);
-    for (a, b) in lo[..dense].iter_mut().zip(hi[..dense].iter_mut()) {
-        let (x, y) = (*a, *b);
-        *a = x + y;
-        *b = x - y;
-    }
+    dual_stream_add_sub(&mut lo[..dense], &mut hi[..dense]);
     for (a, b) in lo[dense..rel.min(stride)]
         .iter_mut()
         .zip(hi[dense..rel.min(stride)].iter_mut())
@@ -699,84 +495,12 @@ fn zero_tail_group(group: &mut [f32], stride: usize, rel: usize) {
 /// run is the same contiguous dual-stream add/sub loop as a full pass, so
 /// live lanes get the identical operation sequence (bit-identical); dead
 /// pairs are skipped outright.
-fn pruned_final_pass(data: &mut [f32], plan: &FhtPrunePlan, tier: FhtTier) {
+fn pruned_final_pass(data: &mut [f32], plan: &FhtPrunePlan) {
     let half = data.len() / 2;
     let (lo_half, hi_half) = data.split_at_mut(half);
     for &(start, len) in &plan.runs {
-        let (start, len) = (start as usize, len as usize);
-        dual_stream_add_sub(
-            &mut lo_half[start..start + len],
-            &mut hi_half[start..start + len],
-            tier,
-        );
-    }
-}
-
-/// `(lo, hi) ← (lo + hi, lo − hi)` lane by lane over two equal-length
-/// streams — one butterfly run at an arbitrary offset and length.
-#[allow(unsafe_code)]
-fn dual_stream_add_sub(lo: &mut [f32], hi: &mut [f32], tier: FhtTier) {
-    debug_assert_eq!(lo.len(), hi.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier == FhtTier::Avx2 && lo.len() >= 8 {
-        // SAFETY: the Avx2 tier is only constructed after runtime
-        // detection (see `fht_tier`).
-        unsafe { dual_stream_add_sub_avx2(lo, hi) };
-        return;
-    }
-    let _ = tier;
-    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-        let (x, y) = (*a, *b);
-        *a = x + y;
-        *b = x - y;
-    }
-}
-
-/// AVX2 body of [`dual_stream_add_sub`]: unaligned 8-wide add/sub pairs
-/// with a scalar tail — the same operations on the same operands as the
-/// portable loop, hence bit-identical (prune runs start at arbitrary pair
-/// offsets, so loads are unaligned by construction).
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime, and the slices
-/// must be of equal length.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[target_feature(enable = "avx2")]
-unsafe fn dual_stream_add_sub_avx2(lo: &mut [f32], hi: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = lo.len();
-    let lo = lo.as_mut_ptr();
-    let hi = hi.as_mut_ptr();
-    let mut j = 0;
-    while j + 8 <= n {
-        let a = lo.add(j);
-        let b = hi.add(j);
-        let x = _mm256_loadu_ps(a);
-        let y = _mm256_loadu_ps(b);
-        _mm256_storeu_ps(a, _mm256_add_ps(x, y));
-        _mm256_storeu_ps(b, _mm256_sub_ps(x, y));
-        j += 8;
-    }
-    while j < n {
-        let a = lo.add(j);
-        let b = hi.add(j);
-        let (x, y) = (*a, *b);
-        *a = x + y;
-        *b = x - y;
-        j += 1;
-    }
-}
-
-/// Tier-dispatched pass for any stride (the AVX2 tier needs `stride % 8
-/// == 0`; shorter strides take the portable loop, which the
-/// autovectorizer handles — identical adds/subs either way).
-fn cross_pass_any(data: &mut [f32], stride: usize, tier: FhtTier) {
-    if stride >= 8 {
-        cross_pass(data, stride, tier);
-    } else {
-        cross_pass_portable(data, stride);
+        let run = start as usize..(start + len) as usize;
+        dual_stream_add_sub(&mut lo_half[run.clone()], &mut hi_half[run]);
     }
 }
 
@@ -789,7 +513,13 @@ mod tests {
         let n = data.len();
         let mut stride = 1;
         while stride < n {
-            cross_pass_portable(data, stride);
+            for start in (0..n).step_by(2 * stride) {
+                for i in start..start + stride {
+                    let (x, y) = (data[i], data[i + stride]);
+                    data[i] = x + y;
+                    data[i + stride] = x - y;
+                }
+            }
             stride <<= 1;
         }
     }
@@ -902,22 +632,6 @@ mod tests {
         assert_eq!(norm, n as f32);
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_tier_matches_portable_bitwise() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for n in [16usize, 1024, 2 * FHT_BLOCK] {
-            let input = pseudo_random(n, 0xA7 + n as u64);
-            let mut portable = input.clone();
-            fht_inplace_tier(&mut portable, FhtTier::Portable);
-            let mut avx2 = input;
-            fht_inplace_tier(&mut avx2, FhtTier::Avx2);
-            assert_eq!(portable, avx2, "n = {n}");
-        }
-    }
-
     #[test]
     fn degenerate_lengths_are_no_ops() {
         let mut empty: Vec<f32> = Vec::new();
@@ -951,114 +665,59 @@ mod tests {
             let mut plain = input.clone();
             fht_inplace(&mut plain);
             let mut opts = input;
-            fht_inplace_opts(&mut opts, &FhtOpts::dense(FhtSchedule::Ascending));
+            fht_inplace_opts(&mut opts, &FhtOpts::dense());
             assert_eq!(plain, opts, "n = {n}");
         }
     }
 
     #[test]
-    fn cascading_haar_matches_naive_hadamard() {
-        for exp in 1..=9 {
-            let n = 1 << exp;
-            let input = pseudo_random(n, 0x4AA2 + exp as u64);
-            let mut fast = input.clone();
-            fht_inplace_opts(&mut fast, &FhtOpts::dense(FhtSchedule::CascadingHaar));
-            let expected = naive_hadamard(&input);
-            for (i, (&got, &want)) in fast.iter().zip(expected.iter()).enumerate() {
-                assert!(
-                    (f64::from(got) - want).abs() < 1e-3 * want.abs().max(1.0),
-                    "n = {n}, element {i}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cascading_haar_involution_is_exact_on_integer_inputs() {
-        for n in [8usize, 256, 4096] {
-            let input: Vec<f32> = (0..n).map(|i| ((i * 29 + 5) % 37) as f32 - 18.0).collect();
-            let mut data = input.clone();
-            let opts = FhtOpts::dense(FhtSchedule::CascadingHaar);
-            fht_inplace_opts(&mut data, &opts);
-            fht_inplace_opts(&mut data, &opts);
-            for (i, (&got, &x)) in data.iter().zip(input.iter()).enumerate() {
-                assert_eq!(got, x * n as f32, "n = {n}, element {i}");
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn schedules_are_tier_invariant_bitwise() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for schedule in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar] {
-            for n in [64usize, 1024, 2 * FHT_BLOCK] {
-                let input = pseudo_random(n, 0x7E + n as u64);
-                let opts = FhtOpts::dense(schedule);
-                let mut portable = input.clone();
-                fht_inplace_opts_tier(&mut portable, &opts, FhtTier::Portable);
-                let mut avx2 = input;
-                fht_inplace_opts_tier(&mut avx2, &opts, FhtTier::Avx2);
-                assert_eq!(portable, avx2, "{schedule}, n = {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn zero_tail_matches_full_transform_bitwise_under_both_schedules() {
-        // Exhaustive-ish sweep: every schedule × many (n, nonzero_len)
-        // pairs, including tails crossing the radix-8 base, the straddle
-        // group and whole-group skips, plus a negative-zero lane inside
-        // the live prefix (x + 0.0 must normalize it like the true add).
-        for schedule in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar] {
-            for n in [2usize, 4, 8, 16, 64, 1024, 8192] {
-                for nz in [0usize, 1, 3, 5, n / 4 + 1, n / 2, 3 * n / 4, n - 1, n] {
-                    if nz > n {
-                        continue;
-                    }
-                    let mut live = pseudo_random(nz, (n + nz) as u64 + 7);
-                    if nz > 1 {
-                        live[nz / 2] = -0.0;
-                    }
-                    let mut full = padded(&live, n);
-                    fht_inplace_opts(&mut full, &FhtOpts::dense(schedule));
-                    let mut tail = padded(&live, n);
-                    let opts = FhtOpts {
-                        nonzero_len: nz,
-                        ..FhtOpts::dense(schedule)
-                    };
-                    fht_inplace_opts(&mut tail, &opts);
-                    let same = full
-                        .iter()
-                        .zip(tail.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{schedule}, n = {n}, nz = {nz}");
+    fn zero_tail_matches_full_transform_bitwise() {
+        // Exhaustive-ish sweep over (n, nonzero_len) pairs, including
+        // tails crossing the radix-8 base, the straddle group and
+        // whole-group skips, plus a negative-zero lane inside the live
+        // prefix (x + 0.0 must normalize it like the true add).
+        for n in [2usize, 4, 8, 16, 64, 1024, 8192] {
+            for nz in [0usize, 1, 3, 5, n / 4 + 1, n / 2, 3 * n / 4, n - 1, n] {
+                if nz > n {
+                    continue;
                 }
+                let mut live = pseudo_random(nz, (n + nz) as u64 + 7);
+                if nz > 1 {
+                    live[nz / 2] = -0.0;
+                }
+                let mut full = padded(&live, n);
+                fht_reference(&mut full);
+                let mut tail = padded(&live, n);
+                let opts = FhtOpts {
+                    nonzero_len: nz,
+                    ..FhtOpts::dense()
+                };
+                fht_inplace_opts(&mut tail, &opts);
+                let same = full
+                    .iter()
+                    .zip(tail.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "n = {n}, nz = {nz}");
             }
         }
     }
 
     #[test]
     fn fused_signs_match_explicit_multiply_bitwise() {
-        for schedule in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar] {
-            for n in [2usize, 4, 8, 64, 1024] {
-                let input = pseudo_random(n, 0x516 + n as u64);
-                let signs: Vec<f32> = (0..n)
-                    .map(|i| if (i * 7 + n) % 3 == 0 { -1.0 } else { 1.0 })
-                    .collect();
-                let mut explicit: Vec<f32> =
-                    input.iter().zip(&signs).map(|(&v, &s)| v * s).collect();
-                fht_inplace_opts(&mut explicit, &FhtOpts::dense(schedule));
-                let mut fused = input;
-                let opts = FhtOpts {
-                    first_stage_signs: Some(&signs),
-                    ..FhtOpts::dense(schedule)
-                };
-                fht_inplace_opts(&mut fused, &opts);
-                assert_eq!(explicit, fused, "{schedule}, n = {n}");
-            }
+        for n in [2usize, 4, 8, 16, 64, 1024] {
+            let input = pseudo_random(n, 0x516 + n as u64);
+            let signs: Vec<f32> = (0..n)
+                .map(|i| if (i * 7 + n) % 3 == 0 { -1.0 } else { 1.0 })
+                .collect();
+            let mut explicit: Vec<f32> = input.iter().zip(&signs).map(|(&v, &s)| v * s).collect();
+            fht_reference(&mut explicit);
+            let mut fused = input;
+            let opts = FhtOpts {
+                first_stage_signs: Some(&signs),
+                ..FhtOpts::dense()
+            };
+            fht_inplace_opts(&mut fused, &opts);
+            assert_eq!(explicit, fused, "n = {n}");
         }
     }
 
@@ -1067,7 +726,7 @@ mod tests {
         for n in [2usize, 8, 64, 1024, 8192] {
             let input = pseudo_random(n, 0x9121 + n as u64);
             let mut full = input.clone();
-            fht_inplace(&mut full);
+            fht_reference(&mut full);
             // Kill a deterministic scatter of lanes (both half-partners
             // dead for some pairs, one for others, none for the rest).
             let dead = |lane: usize| (lane * 2654435761usize) % 5 < 2;
@@ -1075,7 +734,7 @@ mod tests {
             let mut pruned = input;
             let opts = FhtOpts {
                 prune: Some(&plan),
-                ..FhtOpts::dense(FhtSchedule::Ascending)
+                ..FhtOpts::dense()
             };
             fht_inplace_opts(&mut pruned, &opts);
             for lane in 0..n {
@@ -1099,14 +758,14 @@ mod tests {
         let nz = 617;
         let live_input = pseudo_random(nz, 0x617);
         let mut full = padded(&live_input, n);
-        fht_inplace(&mut full);
+        fht_reference(&mut full);
         let dead = |lane: usize| lane % 7 == 3 || lane >= 1000;
         let plan = FhtPrunePlan::from_live(n, |lane| !dead(lane));
         let mut pruned = padded(&live_input, n);
         let opts = FhtOpts {
             nonzero_len: nz,
             prune: Some(&plan),
-            ..FhtOpts::dense(FhtSchedule::Ascending)
+            ..FhtOpts::dense()
         };
         fht_inplace_opts(&mut pruned, &opts);
         for lane in 0..n {
@@ -1149,7 +808,6 @@ mod tests {
     #[test]
     fn schedule_displays_and_defaults_to_ascending() {
         assert_eq!(FhtSchedule::Ascending.to_string(), "ascending");
-        assert_eq!(FhtSchedule::CascadingHaar.to_string(), "cascading-haar");
         assert_eq!(FhtSchedule::default(), FhtSchedule::Ascending);
     }
 }

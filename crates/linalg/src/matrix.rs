@@ -816,7 +816,9 @@ pub fn dot_gemm_order(a: &[f32], b: &[f32]) -> f32 {
     dot_gemm_order_from(0.0, a, b)
 }
 
-/// Which micro-kernel implementation computes the accumulator tiles.
+/// Which micro-kernel implementation computes the accumulator tiles — the
+/// crate's one runtime CPU-feature detection, which the quantize epilogue
+/// (`codepack::symmetric_codes`) also reads.
 ///
 /// All tiers share the identical per-element accumulation *order* (a single
 /// ascending chain over the inner dimension), so every tier is bit-identical
@@ -827,7 +829,7 @@ pub fn dot_gemm_order(a: &[f32], b: &[f32]) -> f32 {
 /// multiply-add, exactly the scalar reference) differs numerically, which
 /// is why it stays the baseline for bitwise parity tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelTier {
+pub(crate) enum KernelTier {
     /// The original mul-then-add tile loop: bit-identical to
     /// [`Matrix::matmul_reference`], and the fallback on targets without
     /// hardware FMA (where `f32::mul_add` would fall back to a slow libm
@@ -842,14 +844,15 @@ enum KernelTier {
     Avx2,
 }
 
-/// Resolves the micro-kernel tier once per process.
+/// Resolves the micro-kernel tier once per process.  This is the only
+/// runtime CPU-feature check in the crate.
 ///
 /// x86_64 with runtime AVX2+FMA gets the `std::arch` kernel; targets whose
 /// build enables hardware FMA (e.g. `target-cpu=native` on any modern
 /// x86_64, or aarch64) get the `mul_add` kernel; everything else keeps the
 /// portable mul-then-add kernel, whose results match `matmul_reference` bit
 /// for bit.
-fn kernel_tier() -> KernelTier {
+pub(crate) fn kernel_tier() -> KernelTier {
     static TIER: OnceLock<KernelTier> = OnceLock::new();
     *TIER.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]

@@ -499,7 +499,9 @@ impl ServerClient {
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Model`] if the query is malformed;
+    /// * [`ServeError::Model`] if the query is malformed: the wrong length,
+    ///   or a non-finite feature (a NaN or infinite query would encode to
+    ///   NaN, which the quantizing epilogue does not define);
     /// * [`ServeError::Overloaded`] if the target shard's queue is full;
     /// * [`ServeError::DeadlineExceeded`] if the deadline is already zero
     ///   at submission;
@@ -519,6 +521,12 @@ impl ServerClient {
                 "query has {} features, model expects {}",
                 features.len(),
                 shared.feature_dim
+            ))));
+        }
+        if let Some(i) = features.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::Model(ModelError::Incompatible(format!(
+                "query feature {i} is {}, features must be finite",
+                features[i]
             ))));
         }
         if options.deadline.is_some_and(|d| d.is_zero()) {
@@ -1210,6 +1218,50 @@ mod tests {
             waiter.join().unwrap()
         });
         assert_eq!(drained.len(), 4);
+    }
+
+    #[test]
+    fn non_finite_queries_are_rejected_before_queueing_on_both_pipelines() {
+        // A non-finite feature would encode to an all-NaN row, whose
+        // integer codes are undefined.  It must be refused at admission,
+        // on either pipeline, and leave the server answering finite
+        // queries exactly like the direct batch path.
+        let deployment = testkit::tiny_deployment();
+        let q = testkit::tiny_queries(1).remove(0);
+        for integer_pipeline in [false, true] {
+            let server = Server::spawn_with(
+                deployment.clone(),
+                BatchPolicy::window(8),
+                ServerOptions {
+                    shards: 1,
+                    integer_pipeline,
+                    ..ServerOptions::default()
+                },
+            );
+            let client = server.client();
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for lane in [0, q.len() - 1] {
+                    let mut query = q.clone();
+                    query[lane] = bad;
+                    assert!(
+                        matches!(
+                            client.submit(&query),
+                            Err(ServeError::Model(ModelError::Incompatible(_)))
+                        ),
+                        "{bad} at feature {lane}, integer pipeline {integer_pipeline}"
+                    );
+                }
+            }
+            let single = batch_of(std::slice::from_ref(&q));
+            let expected = if integer_pipeline {
+                deployment.predict_quantized_batch(&single).unwrap()
+            } else {
+                deployment.predict_batch(&single).unwrap()
+            };
+            assert_eq!(client.predict(&q).unwrap(), expected[0]);
+            let stats = server.shutdown().unwrap();
+            assert_eq!(stats.served, 1, "rejected queries are never queued");
+        }
     }
 
     /// `queries` as one row-per-query matrix, for the direct model APIs.

@@ -4,7 +4,7 @@
 use disthd_hd::encoder::{Encoder, RbfEncoder, RegenerativeEncoder, StructuredRbfEncoder};
 use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
 use disthd_hd::{BinaryHypervector, BipolarHypervector, ClassModel};
-use disthd_linalg::{fht_inplace, fht_inplace_opts, parallel, FhtOpts, FhtPrunePlan, FhtSchedule};
+use disthd_linalg::{fht_inplace, fht_inplace_opts, parallel, FhtOpts, FhtPrunePlan};
 use disthd_linalg::{Matrix, RngSeed, SeededRng};
 use proptest::prelude::*;
 
@@ -227,7 +227,7 @@ proptest! {
         let mut full = input.clone();
         fht_inplace(&mut full);
         let mut pruned = input;
-        let opts = FhtOpts { prune: Some(&plan), ..FhtOpts::dense(FhtSchedule::Ascending) };
+        let opts = FhtOpts { prune: Some(&plan), ..FhtOpts::dense() };
         fht_inplace_opts(&mut pruned, &opts);
         for lane in 0..n {
             if !dead[lane] {
@@ -237,31 +237,28 @@ proptest! {
         }
     }
 
-    /// The zero-aware front end is bitwise invisible under both schedules:
-    /// transforming a zero-padded buffer with the skip paths equals
+    /// The zero-aware front end is bitwise invisible: transforming a zero-padded buffer with the skip paths equals
     /// transforming it in full.
     #[test]
     fn zero_tail_fht_matches_full_bitwise(
         exp in 1u32..13,
         seed in 0u64..1000,
-        haar in 0u32..2,
         nz_frac in 1u32..101,
     ) {
         let n = 1usize << exp;
         let nz = ((n as u64 * u64::from(nz_frac)).div_ceil(100) as usize).max(1);
-        let schedule = if haar == 1 { FhtSchedule::CascadingHaar } else { FhtSchedule::Ascending };
         let mut rng = SeededRng::new(RngSeed(seed));
         let mut padded = vec![0.0f32; n];
         for v in &mut padded[..nz] {
             *v = rng.next_unit() - 0.5;
         }
         let mut full = padded.clone();
-        fht_inplace_opts(&mut full, &FhtOpts::dense(schedule));
+        fht_inplace(&mut full);
         let mut aware = padded;
-        let opts = FhtOpts { nonzero_len: nz, ..FhtOpts::dense(schedule) };
+        let opts = FhtOpts { nonzero_len: nz, ..FhtOpts::dense() };
         fht_inplace_opts(&mut aware, &opts);
         let same = full.iter().zip(&aware).all(|(a, b)| a.to_bits() == b.to_bits());
-        prop_assert!(same, "{} n {} nz {}", schedule, n, nz);
+        prop_assert!(same, "n {} nz {}", n, nz);
     }
 
     /// Structured batch encodes are bit-identical across thread counts
