@@ -133,8 +133,8 @@ impl DistHd {
     /// # Errors
     ///
     /// [`ModelError::Incompatible`] when the batch shape disagrees with
-    /// the model, or when this model has already been trained through the
-    /// non-mergeable [`fit`](disthd_eval::Classifier::fit) /
+    /// the model, a feature is not finite, or this model has already been
+    /// trained through the non-mergeable [`fit`](disthd_eval::Classifier::fit) /
     /// [`DistHd::partial_fit`] paths.
     pub fn fit_shard(&mut self, batch: &Dataset) -> Result<MergeStats, ModelError> {
         if batch.feature_dim() != self.encoder.input_dim() {
@@ -165,6 +165,7 @@ impl DistHd {
                     .into(),
             ));
         }
+        crate::trainer::ensure_finite(batch)?;
 
         let dim = self.config.dim;
         let mut state = self

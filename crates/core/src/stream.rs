@@ -264,8 +264,9 @@ impl DistHd {
     /// # Errors
     ///
     /// Returns [`ModelError::Incompatible`] if the batch's feature arity or
-    /// class count disagrees with the model, or a shape error from the
-    /// encoding kernels.
+    /// class count disagrees with the model or a feature is not finite (the
+    /// model is then left unchanged), or a shape error from the encoding
+    /// kernels.
     pub fn partial_fit_with(
         &mut self,
         batch: &Dataset,
@@ -298,6 +299,7 @@ impl DistHd {
                     .into(),
             ));
         }
+        crate::trainer::ensure_finite(batch)?;
         if batch.is_empty() {
             return Ok(StreamStats {
                 samples: 0,

@@ -179,6 +179,26 @@ impl DistHd {
     }
 }
 
+/// Rejects a training set holding a NaN or infinite feature, naming the
+/// first one.  Such a row encodes to non-finite values, and a single
+/// update with it poisons every class it touches.
+///
+/// # Errors
+///
+/// Returns [`ModelError::Incompatible`] on the first non-finite feature.
+pub(crate) fn ensure_finite(data: &Dataset) -> Result<(), ModelError> {
+    let features = data.features();
+    match features.as_slice().iter().position(|v| !v.is_finite()) {
+        None => Ok(()),
+        Some(i) => Err(ModelError::Incompatible(format!(
+            "training feature at row {}, column {} is {}, features must be finite",
+            i / features.cols(),
+            i % features.cols(),
+            features.as_slice()[i]
+        ))),
+    }
+}
+
 impl Classifier for DistHd {
     fn fit(
         &mut self,
@@ -204,6 +224,7 @@ impl Classifier for DistHd {
                 "DistHD top-2 classification needs at least two classes".into(),
             ));
         }
+        ensure_finite(train)?;
 
         let mut regen_rng = SeededRng::derive_stream(self.config.seed, 0xD157);
         let mut encoded = self.encoder.encode_batch(train.features())?;
@@ -340,6 +361,58 @@ mod tests {
             dim: 256,
             epochs: 8,
             ..Default::default()
+        }
+    }
+
+    /// Class memory and centering means as raw bits.
+    fn state_bits(model: &DistHd) -> Vec<u32> {
+        let classes = model.class_model().map(|m| m.classes().as_slice());
+        let means = model.center().map(|c| c.means());
+        classes
+            .into_iter()
+            .chain(means)
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn training_rejects_non_finite_features_and_names_them() {
+        let data = small_data();
+        let (features, classes) = (data.train.feature_dim(), data.train.class_count());
+        let (row, col) = (data.train.len() / 2, features - 1);
+        let expect_rejected = |result: Result<(), ModelError>| match result {
+            Err(ModelError::Incompatible(msg)) => {
+                assert!(msg.contains(&format!("row {row}, column {col}")), "{msg}")
+            }
+            other => panic!("expected a non-finite rejection, got {other:?}"),
+        };
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut poisoned = data.train.clone();
+            poisoned.features_mut().set(row, col, bad);
+
+            let mut fitted = DistHd::new(config(), features, classes);
+            expect_rejected(fitted.fit(&poisoned, None).map(drop));
+            assert!(fitted.class_model().is_none());
+
+            let mut sharded = DistHd::new(config(), features, classes);
+            expect_rejected(sharded.fit_shard(&poisoned).map(drop));
+            assert!(sharded.shard_report().is_none());
+
+            // A rejected batch leaves a streaming model bit-unchanged: same
+            // state now, and the same state after one more clean batch.
+            let mut streamed = DistHd::new(config(), features, classes);
+            streamed.partial_fit(&data.train).unwrap();
+            let mut untouched = streamed.clone();
+            expect_rejected(streamed.partial_fit(&poisoned).map(drop));
+            assert_eq!(state_bits(&streamed), state_bits(&untouched));
+            streamed.partial_fit(&data.train).unwrap();
+            untouched.partial_fit(&data.train).unwrap();
+            assert_eq!(state_bits(&streamed), state_bits(&untouched));
+            assert_eq!(
+                streamed.predict(&data.test).unwrap(),
+                untouched.predict(&data.test).unwrap()
+            );
         }
     }
 

@@ -33,7 +33,13 @@ pub use rbf::{RbfEncoder, DEFAULT_BANDWIDTH};
 pub use record::RecordEncoder;
 pub use structured::StructuredRbfEncoder;
 
-use disthd_linalg::{Matrix, RngSeed, SeededRng, ShapeError};
+use disthd_linalg::{parallel, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError};
+
+/// Rows per work unit of [`reencode_columns`]: tall enough that one sweep
+/// of the column panel serves many rows, small enough that the unit's
+/// projection scratch stays in cache.  Fixed, so the partition never
+/// depends on the worker count.
+const REENCODE_CHUNK_ROWS: usize = 64;
 
 /// The fused RBF epilogue `cos(p + c)·sin(p)`, evaluated through the
 /// product-to-sum identity `½(sin(2p + c) − sin(c))` with `sin(c)`
@@ -49,6 +55,54 @@ use disthd_linalg::{Matrix, RngSeed, SeededRng, ShapeError};
 #[inline]
 pub(crate) fn half_angle_cosine(projection: f32, phase: f32, phase_sin: f32) -> f32 {
     disthd_linalg::half_angle(projection, phase, phase_sin)
+}
+
+/// Recomputes column `dims[j]` of every row of `encoded` as
+/// `half_angle_cosine((batch · B)[r][j], phases[dims[j]], phase_sins[dims[j]])`,
+/// where `panel` holds `B`: the projection base of `dims[j]` in column `j`.
+///
+/// The rows stream through [`Matrix::matmul_rows_into`] in fixed chunks,
+/// each with a chunk-sized projection scratch, so no `rows × dims.len()`
+/// patch is ever built.  Every projection is the GEMM's ascending chain
+/// and the epilogue is the encoders' own, so the result is bit-identical
+/// to the same columns of a full encode at any thread count.
+///
+/// # Panics
+///
+/// Panics if `panel` is not `batch.cols() × dims.len()`, `encoded` does not
+/// have `batch.rows()` rows, or a dim is out of range.
+pub(crate) fn reencode_columns(
+    batch: &Matrix,
+    encoded: &mut Matrix,
+    panel: &PackedRhs,
+    dims: &[usize],
+    phases: &[f32],
+    phase_sins: &[f32],
+) {
+    assert_eq!(panel.cols(), dims.len(), "one panel column per dim");
+    assert_eq!(encoded.rows(), batch.rows(), "one encoded row per sample");
+    let width = encoded.cols();
+    if dims.is_empty() || encoded.is_empty() {
+        return;
+    }
+    parallel::par_chunks_mut(
+        encoded.as_mut_slice(),
+        REENCODE_CHUNK_ROWS * width,
+        |chunk_index, rows| {
+            let mut projections = vec![0.0f32; rows.len() / width * dims.len()];
+            batch
+                .matmul_rows_into(panel, chunk_index * REENCODE_CHUNK_ROWS, &mut projections)
+                .expect("panel inner dim is the feature count");
+            for (row, row_projections) in rows
+                .chunks_exact_mut(width)
+                .zip(projections.chunks_exact(dims.len()))
+            {
+                for (&dim, &p) in dims.iter().zip(row_projections) {
+                    row[dim] = half_angle_cosine(p, phases[dim], phase_sins[dim]);
+                }
+            }
+        },
+    );
 }
 
 /// Maps low-dimensional feature vectors onto hyperdimensional space.

@@ -144,7 +144,10 @@ impl RbfEncoder {
     /// update is the mechanical reason DistHD retrains faster than
     /// NeuralHD's re-encode-everything pipeline (Fig. 5).
     ///
-    /// Out-of-range dims are ignored.
+    /// The regenerated base columns are copied into one small packed panel
+    /// and the batch streams through a single GEMM against it, so every
+    /// re-encoded value is bit-identical to a full
+    /// [`Encoder::encode_batch`].  Out-of-range dims are ignored.
     ///
     /// # Errors
     ///
@@ -170,24 +173,26 @@ impl RbfEncoder {
                 (batch.rows(), self.output_dim),
             ));
         }
-        // Gather each regenerated base column once (the packed panel is
-        // column-strided), then stream all samples against the contiguous
-        // copy — the inner dot product auto-vectorizes.
-        let mut column = vec![0.0f32; self.input_dim];
-        for &d in dims {
-            if d >= self.output_dim {
-                continue;
-            }
-            for (k, slot) in column.iter_mut().enumerate() {
+        // One product against a panel of just the regenerated columns.
+        let dims: Vec<usize> = dims
+            .iter()
+            .copied()
+            .filter(|&d| d < self.output_dim)
+            .collect();
+        let mut panel = PackedRhs::new(self.input_dim, dims.len());
+        for (j, &d) in dims.iter().enumerate() {
+            for (k, slot) in panel.column_slots(j).enumerate() {
                 *slot = self.bases.get(k, d);
             }
-            let phase = self.phases[d];
-            let phase_sin = self.phase_sins[d];
-            for r in 0..batch.rows() {
-                let p = disthd_linalg::dot(batch.row(r), &column);
-                encoded.set(r, d, Self::nonlinearity(p, phase, phase_sin));
-            }
         }
+        super::reencode_columns(
+            batch,
+            encoded,
+            &panel,
+            &dims,
+            &self.phases,
+            &self.phase_sins,
+        );
         Ok(())
     }
 
@@ -555,28 +560,30 @@ mod tests {
 
     #[test]
     fn partial_reencode_matches_full_reencode() {
+        // 150 rows span three re-encode chunks; dim 7 is requested twice
+        // and 999 is out of range.
         let mut enc = encoder();
-        let batch = Matrix::from_rows(&[
-            vec![0.1, 0.9, 0.4, 0.3, 0.7, 0.2],
-            vec![0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        ])
-        .unwrap();
+        let batch = Matrix::from_fn(150, 6, |r, c| ((r * 6 + c) as f32 * 0.13).sin());
         let mut encoded = enc.encode_batch(&batch).unwrap();
         let mut rng = SeededRng::new(RngSeed(13));
-        let dims = [2usize, 7, 30, 199];
+        let dims = [2usize, 7, 30, 199, 7, 999];
         enc.regenerate(&dims, &mut rng);
-        enc.reencode_dims(&batch, &mut encoded, &dims).unwrap();
-        let full = enc.encode_batch(&batch).unwrap();
-        for r in 0..encoded.rows() {
-            for c in 0..encoded.cols() {
-                assert!(
-                    (encoded.get(r, c) - full.get(r, c)).abs() < 1e-4,
-                    "({r},{c}): partial {} vs full {}",
-                    encoded.get(r, c),
-                    full.get(r, c)
-                );
-            }
+        for threads in [1usize, 4] {
+            let mut partial = encoded.clone();
+            disthd_linalg::parallel::with_thread_count(threads, || {
+                enc.reencode_dims(&batch, &mut partial, &dims).unwrap()
+            });
+            assert_eq!(
+                partial.as_slice(),
+                enc.encode_batch(&batch).unwrap().as_slice(),
+                "{threads} threads"
+            );
         }
+        enc.reencode_dims(&batch, &mut encoded, &[]).unwrap();
+        assert_ne!(
+            encoded.as_slice(),
+            enc.encode_batch(&batch).unwrap().as_slice()
+        );
     }
 
     #[test]

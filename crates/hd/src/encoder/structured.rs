@@ -1,8 +1,8 @@
 use super::{half_angle_cosine, Encoder, RegenerativeEncoder};
 use crate::quantize::{BitWidth, QuantizedMatrix};
 use disthd_linalg::{
-    dot, fht_inplace_opts, half_angle_row, parallel, sin_det, FhtOpts, FhtPrunePlan, FhtSchedule,
-    Gaussian, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError, Uniform,
+    dot_gemm_order, fht_inplace_opts, half_angle_row, parallel, sin_det, FhtOpts, FhtPrunePlan,
+    FhtSchedule, Gaussian, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError, Uniform,
 };
 use std::collections::BTreeMap;
 
@@ -626,12 +626,13 @@ impl StructuredRbfEncoder {
     /// (the partial update Algorithm 2 relies on — see
     /// [`super::RbfEncoder::reencode_dims`]).
     ///
-    /// Overlaid dims recompute through their private dense base rows;
-    /// still-structured dims re-run their block's transform (grouped per
-    /// block so the FHT cost is paid once per block per sample), which is
-    /// bit-identical to a full [`Encoder::encode_batch`] — requested dims
-    /// are live by definition, so pruning never touches them.
-    /// Out-of-range dims are ignored.
+    /// Overlaid dims recompute through one GEMM against a panel of their
+    /// private dense base rows; still-structured dims re-run their block's
+    /// transform (grouped per block so the FHT cost is paid once per block
+    /// per sample).  Both are bit-identical to a full
+    /// [`Encoder::encode_batch`] — requested structured dims are live by
+    /// definition, so pruning never touches them.  Out-of-range dims are
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -658,26 +659,37 @@ impl StructuredRbfEncoder {
             ));
         }
         let mut structured_by_block: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut overlaid = Vec::new();
         for &dim in dims {
             if dim >= self.output_dim {
                 continue;
             }
-            let j = self.overlay_index[dim];
-            if j == NOT_OVERLAID {
+            if self.overlay_index[dim] == NOT_OVERLAID {
                 structured_by_block
                     .entry(dim / self.block_dim)
                     .or_default()
                     .push(dim);
             } else {
-                let base = self.overlay_rows.row(j as usize);
-                let phase = self.phases[dim];
-                let phase_sin = self.phase_sins[dim];
-                for r in 0..batch.rows() {
-                    let p = dot(batch.row(r), base);
-                    encoded.set(r, dim, half_angle_cosine(p, phase, phase_sin));
-                }
+                overlaid.push(dim);
             }
         }
+        // Overlaid dims: one product against a panel of just their private
+        // base rows.
+        let mut panel = PackedRhs::new(self.input_dim, overlaid.len());
+        for (col, &dim) in overlaid.iter().enumerate() {
+            let base = self.overlay_rows.row(self.overlay_index[dim] as usize);
+            for (slot, &v) in panel.column_slots(col).zip(base) {
+                *slot = v;
+            }
+        }
+        super::reencode_columns(
+            batch,
+            encoded,
+            &panel,
+            &overlaid,
+            &self.phases,
+            &self.phase_sins,
+        );
         if !structured_by_block.is_empty() {
             let mut scratch = vec![0.0f32; self.block_dim];
             for (&b, block_dims) in &structured_by_block {
@@ -795,8 +807,10 @@ impl Encoder for StructuredRbfEncoder {
         let mut out = vec![0.0f32; self.output_dim];
         let mut scratch = vec![0.0f32; self.block_dim];
         self.encode_structured_row(features, &mut out, &mut scratch);
+        // The GEMM's per-element chain, so a single encode equals its row
+        // of `encode_batch` bit for bit.
         for (j, &dim) in self.overlay_dims.iter().enumerate() {
-            let p = dot(features, self.overlay_rows.row(j));
+            let p = dot_gemm_order(features, self.overlay_rows.row(j));
             out[dim] = half_angle_cosine(p, self.phases[dim], self.phase_sins[dim]);
         }
         Ok(out)
@@ -952,8 +966,8 @@ mod tests {
 
     #[test]
     fn batch_encode_matches_single_encode_with_overlay() {
-        // The overlay runs through the GEMM in batch mode and plain dots in
-        // single mode; FMA tiers may differ by ≤ 1 ulp per accumulation.
+        // The overlay runs through the GEMM in batch mode and through
+        // `dot_gemm_order` in single mode: the same chain, so the same bits.
         let mut enc = encoder();
         let mut rng = SeededRng::new(RngSeed(5));
         enc.regenerate(&[0, 7, 100, 199], &mut rng);
@@ -964,10 +978,11 @@ mod tests {
         let batch = Matrix::from_rows(&rows).unwrap();
         let encoded = enc.encode_batch(&batch).unwrap();
         for (r, row) in rows.iter().enumerate() {
-            let single = enc.encode(row).unwrap();
-            for (c, (&a, &b)) in encoded.row(r).iter().zip(single.iter()).enumerate() {
-                assert!((a - b).abs() < 1e-5, "({r},{c}): batch {a} vs single {b}");
-            }
+            assert_eq!(
+                encoded.row(r),
+                enc.encode(row).unwrap().as_slice(),
+                "row {r}"
+            );
         }
     }
 
@@ -1125,28 +1140,32 @@ mod tests {
 
     #[test]
     fn partial_reencode_matches_full_reencode() {
+        // 150 rows span three re-encode chunks.  The second regeneration
+        // resamples dims already in the overlay and evicts a new one, and
+        // the re-encode mixes overlaid, structured and out-of-range dims.
         let mut enc = encoder();
-        let batch = Matrix::from_rows(&[
-            vec![0.1, 0.9, 0.4, 0.3, 0.7, 0.2],
-            vec![0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        ])
-        .unwrap();
+        let batch = Matrix::from_fn(150, 6, |r, c| ((r * 6 + c) as f32 * 0.13).sin());
         let mut encoded = enc.encode_batch(&batch).unwrap();
         let mut rng = SeededRng::new(RngSeed(13));
-        let dims = [2usize, 7, 30, 199];
-        enc.regenerate(&dims, &mut rng);
-        enc.reencode_dims(&batch, &mut encoded, &dims).unwrap();
-        let full = enc.encode_batch(&batch).unwrap();
-        for r in 0..encoded.rows() {
-            for c in 0..encoded.cols() {
-                assert!(
-                    (encoded.get(r, c) - full.get(r, c)).abs() < 1e-4,
-                    "({r},{c}): partial {} vs full {}",
-                    encoded.get(r, c),
-                    full.get(r, c)
-                );
-            }
+        enc.regenerate(&[2, 7, 30, 199], &mut rng);
+        enc.regenerate(&[7, 30, 64], &mut rng);
+        let dims = [2usize, 7, 30, 64, 199, 5, 120, 999];
+        for threads in [1usize, 4] {
+            let mut partial = encoded.clone();
+            disthd_linalg::parallel::with_thread_count(threads, || {
+                enc.reencode_dims(&batch, &mut partial, &dims).unwrap()
+            });
+            assert_eq!(
+                partial.as_slice(),
+                enc.encode_batch(&batch).unwrap().as_slice(),
+                "{threads} threads"
+            );
         }
+        enc.reencode_dims(&batch, &mut encoded, &[]).unwrap();
+        assert_ne!(
+            encoded.as_slice(),
+            enc.encode_batch(&batch).unwrap().as_slice()
+        );
     }
 
     #[test]

@@ -1,5 +1,4 @@
-use crate::similarity;
-use disthd_linalg::{Matrix, ShapeError};
+use disthd_linalg::{dot_gemm_order, normalize_l2_in_place, Matrix, PackedRhs, ShapeError};
 
 /// The top-1 result of a similarity query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +38,11 @@ impl TopK {
 ///
 /// Stores the raw accumulated class hypervectors plus a lazily refreshed
 /// row-normalized copy so that cosine similarity (eq. 1) is a single dot
-/// product per class at query time.
+/// product per class at query time.  The normalized rows are also held as
+/// the GEMM's packed right-hand side (`D × k`, column `c` = normalized
+/// class `c`), so every scorer — batched, blocked or single-row — computes
+/// each score as one ascending [`dot_gemm_order`] chain and agrees with
+/// every other bit for bit.
 ///
 /// # Example
 ///
@@ -58,9 +61,10 @@ impl TopK {
 pub struct ClassModel {
     classes: Matrix,
     normalized: Matrix,
-    /// `normalized` transposed (`D × k`), cached under the same dirty flag
-    /// so the batched similarity GEMM never re-transposes a clean model.
-    normalized_t: Matrix,
+    /// `normalized` transposed into the GEMM's packed panel layout,
+    /// refreshed in place under the same dirty flag, so no similarity
+    /// product ever transposes or repacks a clean model.
+    panel: PackedRhs,
     normalized_dirty: bool,
 }
 
@@ -71,20 +75,19 @@ impl ClassModel {
         Self {
             classes: Matrix::zeros(class_count, dim),
             normalized: Matrix::zeros(class_count, dim),
-            normalized_t: Matrix::zeros(dim, class_count),
+            panel: PackedRhs::new(dim, class_count),
             normalized_dirty: false,
         }
     }
 
     /// Builds a model from an existing class matrix (one row per class).
     pub fn from_matrix(classes: Matrix) -> Self {
-        let normalized = similarity::cosine_similarity_matrix(&classes);
-        let normalized_t = normalized.transpose();
+        let (k, dim) = classes.shape();
         Self {
             classes,
-            normalized,
-            normalized_t,
-            normalized_dirty: false,
+            normalized: Matrix::zeros(k, dim),
+            panel: PackedRhs::new(dim, k),
+            normalized_dirty: true,
         }
     }
 
@@ -211,41 +214,47 @@ impl ClassModel {
         self.normalized_dirty = true;
     }
 
-    /// Refreshes the normalized row cache (and its transpose) if stale.
+    /// Refreshes the normalized rows and the class panel in place, if
+    /// stale.  Each row is normalized exactly as
+    /// [`crate::similarity::cosine_similarity_matrix`] does, without allocating.
     fn refresh(&mut self) {
-        if self.normalized_dirty {
-            self.normalized = similarity::cosine_similarity_matrix(&self.classes);
-            self.normalized_t = self.normalized.transpose();
-            self.normalized_dirty = false;
+        if !self.normalized_dirty {
+            return;
         }
+        for c in 0..self.classes.rows() {
+            let row = self.normalized.row_mut(c);
+            row.copy_from_slice(self.classes.row(c));
+            normalize_l2_in_place(row);
+            for (slot, &v) in self.panel.column_slots(c).zip(row.iter()) {
+                *slot = v;
+            }
+        }
+        self.normalized_dirty = false;
     }
 
     /// Similarity of `query` to every class (eq. 1, using normalized rows).
+    ///
+    /// Each score is one [`dot_gemm_order`] chain against the normalized
+    /// class row, so it equals the matching entry of
+    /// [`Self::similarity_matrix`] bit for bit.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `query.len() != dim()`.
     pub fn similarities(&mut self, query: &[f32]) -> Result<Vec<f32>, ShapeError> {
         self.refresh();
-        similarity::similarity_to_all(query, &self.normalized)
-    }
-
-    /// Similarity without mutable access; the caller must have called a
-    /// query method since the last update (debug-asserted).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `query.len() != dim()`.
-    pub fn similarities_cached(&self, query: &[f32]) -> Result<Vec<f32>, ShapeError> {
-        debug_assert!(!self.normalized_dirty, "normalized cache is stale");
-        similarity::similarity_to_all(query, &self.normalized)
-    }
-
-    /// Ensures the normalized cache is fresh (call once before a read-only
-    /// batch of [`Self::similarities_cached`] queries, e.g. parallel
-    /// inference).
-    pub fn prepare_inference(&mut self) {
-        self.refresh();
+        if query.len() != self.dim() {
+            return Err(ShapeError::new(
+                "similarities",
+                (1, query.len()),
+                self.normalized.shape(),
+            ));
+        }
+        Ok(self
+            .normalized
+            .iter_rows()
+            .map(|row| dot_gemm_order(query, row))
+            .collect())
     }
 
     /// Borrows the row-normalized class matrix (`N` of eq. 1), refreshing
@@ -259,24 +268,39 @@ impl ClassModel {
     /// GEMM: returns the `samples × classes` score matrix
     /// `encoded · Nᵀ`.
     ///
-    /// This replaces per-sample [`Self::similarities`] matvecs on the hot
-    /// paths (top-2 categorization, batch prediction): one cache-blocked,
-    /// parallel product over the whole batch instead of `n` strided passes
-    /// over the class matrix.
+    /// One product against the class panel, held packed: no per-call
+    /// transpose or pack.  Entry `(i, c)` is bit-identical to
+    /// [`Self::similarities`] of row `i` at class `c`.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `encoded.cols() != dim()`.
     pub fn similarity_matrix(&mut self, encoded: &Matrix) -> Result<Matrix, ShapeError> {
         self.refresh();
-        if encoded.cols() != self.dim() {
-            return Err(ShapeError::new(
-                "similarity_matrix",
-                encoded.shape(),
-                self.normalized.shape(),
-            ));
-        }
-        encoded.matmul(&self.normalized_t)
+        encoded.matmul_prepacked_map(&self.panel, |_, x| x)
+    }
+
+    /// Scores rows `first_row..first_row + out.len() / class_count()` of
+    /// `encoded` against every class into `out`, row-major — the blocked
+    /// adaptive epoch's scorer.  Serial, and bit-identical to the matching
+    /// rows of [`Self::similarity_matrix`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `encoded.cols() != dim()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not whole rows or the row range runs past
+    /// `encoded.rows()`.
+    pub(crate) fn similarity_rows_into(
+        &mut self,
+        encoded: &Matrix,
+        first_row: usize,
+        out: &mut [f32],
+    ) -> Result<(), ShapeError> {
+        self.refresh();
+        encoded.matmul_rows_into(&self.panel, first_row, out)
     }
 
     /// Predicted class for every row of `encoded`, via one batched GEMM and
@@ -437,7 +461,6 @@ mod tests {
     #[test]
     fn set_classes_swaps_weights_and_invalidates_caches() {
         let mut m = two_class_model();
-        m.prepare_inference();
         assert_eq!(m.predict(&[1.0, 0.0, 0.0, 0.0]), 0);
         let swapped =
             Matrix::from_rows(&[vec![0.0, 1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0, 0.0]]).unwrap();
@@ -501,15 +524,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_similarities_after_prepare() {
-        let mut m = two_class_model();
-        m.prepare_inference();
-        let sims = m.similarities_cached(&[1.0, 0.0, 0.0, 0.0]).unwrap();
-        assert!(sims[0] > sims[1]);
-    }
-
-    #[test]
     fn similarity_matrix_matches_per_sample_queries() {
+        // Both paths score through the same per-element chain, so they agree
+        // bit for bit — at k = 2 and at a k and D that leave ragged panel
+        // tiles.
         let mut m = two_class_model();
         let encoded = Matrix::from_rows(&[
             vec![0.8, 0.2, 0.0, 0.0],
@@ -517,17 +535,21 @@ mod tests {
             vec![0.5, 0.5, 0.5, 0.5],
         ])
         .unwrap();
-        let batched = m.similarity_matrix(&encoded).unwrap();
-        assert_eq!(batched.shape(), (3, 2));
-        for r in 0..3 {
-            let single = m.similarities(encoded.row(r)).unwrap();
-            for (c, &s) in single.iter().enumerate() {
-                assert!(
-                    (batched.get(r, c) - s).abs() < 1e-6,
-                    "({r},{c}): {} vs {}",
-                    batched.get(r, c),
-                    s
-                );
+        let mut wide = ClassModel::from_matrix(Matrix::from_fn(19, 37, |c, d| {
+            ((c * 37 + d) as f32 * 0.61).sin()
+        }));
+        let wide_encoded = Matrix::from_fn(9, 37, |r, d| ((r * 5 + d) as f32 * 0.23).cos());
+        for (model, encoded) in [(&mut m, &encoded), (&mut wide, &wide_encoded)] {
+            let batched = model.similarity_matrix(encoded).unwrap();
+            assert_eq!(batched.shape(), (encoded.rows(), model.class_count()));
+            for r in 0..encoded.rows() {
+                let single = model.similarities(encoded.row(r)).unwrap();
+                assert_eq!(batched.row(r), single.as_slice(), "row {r}");
+                let mut blocked = vec![0.0f32; model.class_count()];
+                model
+                    .similarity_rows_into(encoded, r, &mut blocked)
+                    .unwrap();
+                assert_eq!(blocked, single, "row {r}");
             }
         }
     }
