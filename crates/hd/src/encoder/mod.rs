@@ -33,7 +33,7 @@ pub use rbf::{RbfEncoder, DEFAULT_BANDWIDTH};
 pub use record::RecordEncoder;
 pub use structured::StructuredRbfEncoder;
 
-use disthd_linalg::{parallel, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError};
+use disthd_linalg::{half_angle_row, parallel, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError};
 
 /// Rows per work unit of [`reencode_columns`]: tall enough that one sweep
 /// of the column panel serves many rows, small enough that the unit's
@@ -63,7 +63,9 @@ pub(crate) fn half_angle_cosine(projection: f32, phase: f32, phase_sin: f32) -> 
 ///
 /// The rows stream through [`Matrix::matmul_rows_into`] in fixed chunks,
 /// each with a chunk-sized projection scratch, so no `rows × dims.len()`
-/// patch is ever built.  Every projection is the GEMM's ascending chain
+/// patch is ever built.  The requested dims' phases are gathered once, so
+/// each row of projections runs one [`disthd_linalg::half_angle_row`]
+/// before the scatter.  Every projection is the GEMM's ascending chain
 /// and the epilogue is the encoders' own, so the result is bit-identical
 /// to the same columns of a full encode at any thread count.
 ///
@@ -85,6 +87,8 @@ pub(crate) fn reencode_columns(
     if dims.is_empty() || encoded.is_empty() {
         return;
     }
+    let dim_phases: Vec<f32> = dims.iter().map(|&dim| phases[dim]).collect();
+    let dim_phase_sins: Vec<f32> = dims.iter().map(|&dim| phase_sins[dim]).collect();
     parallel::par_chunks_mut(
         encoded.as_mut_slice(),
         REENCODE_CHUNK_ROWS * width,
@@ -95,10 +99,11 @@ pub(crate) fn reencode_columns(
                 .expect("panel inner dim is the feature count");
             for (row, row_projections) in rows
                 .chunks_exact_mut(width)
-                .zip(projections.chunks_exact(dims.len()))
+                .zip(projections.chunks_exact_mut(dims.len()))
             {
-                for (&dim, &p) in dims.iter().zip(row_projections) {
-                    row[dim] = half_angle_cosine(p, phases[dim], phase_sins[dim]);
+                half_angle_row(row_projections, 1.0, &dim_phases, &dim_phase_sins);
+                for (&dim, &value) in dims.iter().zip(row_projections.iter()) {
+                    row[dim] = value;
                 }
             }
         },

@@ -111,23 +111,12 @@ impl RbfEncoder {
         }
     }
 
-    /// The nonlinearity `cos(p + c)·sin(p)`, evaluated as
-    /// `½(sin(2p + c) − sin(c))` with `sin(c)` precomputed — shared with
-    /// the structured backend via [`super::half_angle_cosine`].
-    #[inline]
-    fn nonlinearity(projection: f32, phase: f32, phase_sin: f32) -> f32 {
-        super::half_angle_cosine(projection, phase, phase_sin)
-    }
-
-    /// Applies the nonlinearity to a row of raw projections, in place.
+    /// Applies the nonlinearity `cos(p + c)·sin(p)` to a row of raw
+    /// projections, in place: one vectorized
+    /// [`disthd_linalg::half_angle_row`] (unit scale, an exact no-op),
+    /// bit-identical to [`super::half_angle_cosine`] per element.
     fn apply_nonlinearity(&self, projections: &mut [f32]) {
-        for ((p, &c), &sc) in projections
-            .iter_mut()
-            .zip(self.phases.iter())
-            .zip(self.phase_sins.iter())
-        {
-            *p = Self::nonlinearity(*p, c, sc);
-        }
+        half_angle_row(projections, 1.0, &self.phases, &self.phase_sins);
     }
 
     /// Borrows the packed base matrix (`n x D`, column `i` = `B_i`).
@@ -283,8 +272,7 @@ impl RbfEncoder {
                     .matmul_rows_into(&self.bases, first_row, values)
                     .expect("shapes validated above");
                 for row in values.chunks_exact_mut(cols) {
-                    // Unit scale is an exact no-op on the projections.
-                    half_angle_row(row, 1.0, &self.phases, &self.phase_sins);
+                    self.apply_nonlinearity(row);
                     if let Some(means) = center {
                         for (v, &mu) in row.iter_mut().zip(means) {
                             *v -= mu;
@@ -332,15 +320,9 @@ impl Encoder for RbfEncoder {
     }
 
     fn encode_batch(&self, batch: &Matrix) -> Result<Matrix, ShapeError> {
-        // The cos·sin map runs inside the GEMM's store phase (the epilogue
-        // sees the output *column*, which selects the per-dimension phase),
-        // so the D-wide encoded batch is written exactly once instead of
-        // being re-streamed for a separate nonlinearity pass.
-        let phases = &self.phases;
-        let phase_sins = &self.phase_sins;
-        batch.matmul_prepacked_map(&self.bases, |dim, p| {
-            Self::nonlinearity(p, phases[dim], phase_sins[dim])
-        })
+        // The cos·sin map runs over each output row inside the GEMM work
+        // unit that computed it, while the row is still in cache.
+        batch.matmul_prepacked_rows(&self.bases, |row| self.apply_nonlinearity(row))
     }
 }
 
@@ -526,7 +508,7 @@ mod tests {
         });
         let expected = batch
             .matmul_map(&dense, |d, p| {
-                RbfEncoder::nonlinearity(p, enc.phases[d], enc.phase_sins[d])
+                crate::encoder::half_angle_cosine(p, enc.phases[d], enc.phase_sins[d])
             })
             .unwrap();
         assert_eq!(

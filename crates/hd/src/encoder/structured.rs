@@ -1,7 +1,7 @@
 use super::{half_angle_cosine, Encoder, RegenerativeEncoder};
 use crate::quantize::{BitWidth, QuantizedMatrix};
 use disthd_linalg::{
-    dot_gemm_order, fht_inplace_opts, half_angle_row, parallel, sin_det, FhtOpts, FhtPrunePlan,
+    dot_gemm_order, fht_inplace, fht_inplace_signed, half_angle_row, parallel, sin_det,
     FhtSchedule, Gaussian, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError, Uniform,
 };
 use std::collections::BTreeMap;
@@ -81,10 +81,7 @@ struct BlockSpec {
 /// Hadamard transform (`H·Hᵀ = d·I`) the product `M = H·S₃·H·S₂·H·S₁`
 /// satisfies `M·Mᵀ = d³·I`, so scaling by `base_std / d` gives every
 /// implicit base vector the exact norm `base_std·√d` and projections with
-/// the same `base_std²·‖F‖²` variance as the dense encoder.  The pad
-/// lanes are exploited rather than paid for: the first transform runs
-/// with a zero-aware front end ([`FhtOpts::nonzero_len`]) that is
-/// bit-identical to transforming the padded buffer in full.
+/// the same `base_std²·‖F‖²` variance as the dense encoder.
 ///
 /// **Half-block** (`block_dim = d/2`, chosen automatically when
 /// `F ≤ 0.75·d`): instead of padding ~40% zeros, each block transforms a
@@ -104,16 +101,15 @@ struct BlockSpec {
 /// epilogue, so downstream behaviour (bandwidth, centering, quantization)
 /// is unchanged.
 ///
-/// ## Pruning
+/// ## The full-width epilogue
 ///
 /// Every block transform runs the ascending butterfly schedule
-/// ([`FhtSchedule::Ascending`], the only one).  The third transform of
-/// every block runs with a final-stage [`FhtPrunePlan`] that elides
-/// butterflies whose both output lanes are dead — evicted to the dense
-/// overlay or beyond the consumed output width — and the copy + half-angle
-/// epilogue likewise skips dead lanes.  Both skips are bitwise-invisible
-/// on live dims and tighten as [`RegenerativeEncoder::regenerate`] grows
-/// the overlay.
+/// ([`FhtSchedule::Ascending`], the only one) over all its lanes.  Each
+/// block then copies its whole consumed output width into the row and
+/// runs one vectorized [`disthd_linalg::half_angle_row`] over that
+/// contiguous slice, overlaid dims included: their values are overwritten
+/// by the overlay pass below.  Computing them costs a few lanes of a
+/// vector loop; skipping them would cut the slice into short scalar runs.
 ///
 /// ## Regeneration: the dense overlay
 ///
@@ -123,13 +119,16 @@ struct BlockSpec {
 /// therefore **evicted** from the structured backbone into a small dense
 /// overlay: it gets a fresh private Gaussian base vector (exactly a dense
 /// [`super::RbfEncoder`] column), stored as one row of a patch matrix.
-/// Encoding computes the structured pass for the live dimensions and then
-/// fills the overlaid columns via the existing 4×16 GEMM
-/// ([`Matrix::matmul_prepacked_map`] against the overlay, held packed).
+/// Encoding computes the structured pass for every dimension, then the
+/// overlay's raw projections via the existing 4×16 GEMM
+/// ([`Matrix::matmul_rows_into`] against the overlay, held packed), runs
+/// one [`disthd_linalg::half_angle_row`] over each row of them with the
+/// overlay dims' phases in overlay order, and scatters the results into
+/// the overlaid columns.
 /// `fit` / `partial_fit` / regeneration semantics are therefore identical
 /// to the dense encoder's, and the overlay GEMM costs `O(F·m)` per sample
-/// for `m` evicted dimensions — tiny relative to the FHT pass while
-/// regeneration touches a minority of dimensions.
+/// for `m` evicted dimensions — at a few hundred evicted dimensions, more
+/// than the whole structured pass.
 ///
 /// # Example
 ///
@@ -173,6 +172,13 @@ pub struct StructuredRbfEncoder {
     /// Evicted dims in eviction order (row `j` of `overlay_rows` is the
     /// private base vector of `overlay_dims[j]`).
     overlay_dims: Vec<usize>,
+    /// `phases[overlay_dims[j]]` at index `j`: the overlay epilogue's
+    /// phases, contiguous so each patch row runs one `half_angle_row`.
+    /// Written with `phases` by every regeneration.
+    overlay_phases: Vec<f32>,
+    /// `phase_sins[overlay_dims[j]]` at index `j`, kept like
+    /// `overlay_phases`.
+    overlay_phase_sins: Vec<f32>,
     /// `m × n` overlay base vectors, one row per evicted dim.
     overlay_rows: Matrix,
     /// `overlay_rows` transposed into the GEMM's packed panel layout — the
@@ -183,13 +189,6 @@ pub struct StructuredRbfEncoder {
     /// Butterfly pass order reported by `fht_schedule` (never persisted;
     /// ascending is the only order the transforms run).
     schedule: FhtSchedule,
-    /// Per-block final-stage prune plan; `None` when the block is fully
-    /// live (or too small to stage-prune).  Rebuilt on regeneration.
-    prune_plans: Vec<Option<FhtPrunePlan>>,
-    /// Per-block maximal runs `(start, len)` of *live* output lanes within
-    /// `[0, out_width)` — the copy + epilogue work list.  Rebuilt on
-    /// regeneration.
-    live_runs: Vec<Vec<(u32, u32)>>,
     regenerated: u64,
 }
 
@@ -317,7 +316,7 @@ impl StructuredRbfEncoder {
             .collect();
         let phases = Uniform::phase().sample_vec(&mut rng, output_dim);
         let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
-        let mut encoder = Self {
+        Self {
             input_dim,
             output_dim,
             base_std,
@@ -328,15 +327,13 @@ impl StructuredRbfEncoder {
             phase_sins,
             overlay_index: vec![NOT_OVERLAID; output_dim],
             overlay_dims: Vec::new(),
+            overlay_phases: Vec::new(),
+            overlay_phase_sins: Vec::new(),
             overlay_rows: Matrix::zeros(0, input_dim),
             overlay_panel: PackedRhs::new(input_dim, 0),
             schedule: FhtSchedule::default(),
-            prune_plans: Vec::new(),
-            live_runs: Vec::new(),
             regenerated: 0,
-        };
-        encoder.rebuild_prune_state();
-        encoder
+        }
     }
 
     /// Block-dim plan parameter the constructor picks for `input_dim`:
@@ -487,9 +484,11 @@ impl StructuredRbfEncoder {
             }
             overlay_index[d] = j as u32;
         }
-        let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
+        let phase_sins: Vec<f32> = phases.iter().map(|&c| sin_det(c)).collect();
+        let overlay_phases = overlay_dims.iter().map(|&d| phases[d]).collect();
+        let overlay_phase_sins = overlay_dims.iter().map(|&d| phase_sins[d]).collect();
         let overlay_panel = pack_overlay(&overlay_rows);
-        let mut encoder = Self {
+        Ok(Self {
             input_dim,
             output_dim,
             base_std,
@@ -500,15 +499,13 @@ impl StructuredRbfEncoder {
             phase_sins,
             overlay_index,
             overlay_dims,
+            overlay_phases,
+            overlay_phase_sins,
             overlay_rows,
             overlay_panel,
             schedule: FhtSchedule::default(),
-            prune_plans: Vec::new(),
-            live_runs: Vec::new(),
             regenerated: 0,
-        };
-        encoder.rebuild_prune_state();
-        Ok(encoder)
+        })
     }
 
     /// Number of dimensions currently evicted into the dense overlay.
@@ -516,48 +513,13 @@ impl StructuredRbfEncoder {
         self.overlay_dims.len()
     }
 
-    /// Rebuilds the per-block prune plans and live-lane run lists from the
-    /// current overlay map.  Called at construction and after every
-    /// regeneration — never on the encode hot path.
-    ///
-    /// Lane `l` of block `b` is *dead* when it maps past the output
-    /// (`l ≥ out_width`) or its dim has been evicted to the overlay; dead
-    /// lanes drop out of the final butterfly stage (both-dead pairs), the
-    /// copy and the trigonometric epilogue.
-    fn rebuild_prune_state(&mut self) {
-        self.prune_plans.clear();
-        self.live_runs.clear();
-        for spec in &self.blocks {
-            let td = spec.transform_dim;
-            let live = |lane: usize| {
-                lane < spec.out_width && self.overlay_index[spec.out_start + lane] == NOT_OVERLAID
-            };
-            let mut runs: Vec<(u32, u32)> = Vec::new();
-            for lane in 0..spec.out_width {
-                if live(lane) {
-                    match runs.last_mut() {
-                        Some((start, len)) if *start as usize + *len as usize == lane => *len += 1,
-                        _ => runs.push((lane as u32, 1)),
-                    }
-                }
-            }
-            let plan = if td >= 2 {
-                Some(FhtPrunePlan::from_live(td, live)).filter(|p| !p.is_full())
-            } else {
-                None
-            };
-            self.prune_plans.push(plan);
-            self.live_runs.push(runs);
-        }
-    }
-
     /// Raw block transform: `scratch ← H·(s₃ ⊙ H·(s₂ ⊙ H·(s₁ ⊙ x_win)))`
     /// for block `b`, with the `s₁` multiply fused into the window copy
     /// and `s₂`/`s₃` fused into their transforms' first passes (all
-    /// bit-identical to multiplying first).  The first transform declares
-    /// the zero tail; the last carries the block's prune plan.  No scale
-    /// or nonlinearity — shared verbatim by the batch encode and the
-    /// partial re-encode so both are bit-identical.
+    /// bit-identical to multiplying first).  A full-pad window's zero tail
+    /// is transformed like any other lane.  No scale or nonlinearity —
+    /// shared verbatim by the batch encode and the partial re-encode so
+    /// both are bit-identical.
     fn transform_block(&self, features: &[f32], b: usize, scratch: &mut [f32]) {
         let spec = &self.blocks[b];
         let td = spec.transform_dim;
@@ -570,54 +532,62 @@ impl StructuredRbfEncoder {
             *slot = f * s;
         }
         scratch[spec.window_len..].fill(0.0);
-        fht_inplace_opts(
-            scratch,
-            &FhtOpts {
-                nonzero_len: spec.window_len,
-                ..FhtOpts::dense()
-            },
-        );
-        fht_inplace_opts(
-            scratch,
-            &FhtOpts {
-                first_stage_signs: Some(s2),
-                ..FhtOpts::dense()
-            },
-        );
-        fht_inplace_opts(
-            scratch,
-            &FhtOpts {
-                first_stage_signs: Some(s3),
-                prune: self.prune_plans[b].as_ref(),
-                ..FhtOpts::dense()
-            },
-        );
+        fht_inplace(scratch);
+        fht_inplace_signed(scratch, s2);
+        fht_inplace_signed(scratch, s3);
     }
 
-    /// Structured pass for one sample: every *live* output dimension
-    /// through the block transforms, scale and half-angle epilogue.
-    /// Overlaid columns are skipped (the caller's overlay pass fills
-    /// them).
+    /// Structured pass for one sample: every output dimension through the
+    /// block transforms, scale and half-angle epilogue.  Overlaid columns
+    /// are computed too; the caller's overlay pass overwrites them.
     fn encode_structured_row(&self, features: &[f32], out: &mut [f32], scratch: &mut [f32]) {
         debug_assert_eq!(out.len(), self.output_dim);
         for (b, spec) in self.blocks.iter().enumerate() {
             self.transform_block(features, b, scratch);
-            // Copy each live run of raw block outputs to its contiguous
-            // destination, then run the vectorized half-angle store over
-            // the slice — bit-identical to the scalar `half_angle_cosine`
-            // loop it replaces (the row kernel's contract), at SIMD
-            // throughput.
-            for &(start, len) in &self.live_runs[b] {
-                let (lane, len) = (start as usize, len as usize);
-                let dims = spec.out_start + lane..spec.out_start + lane + len;
-                let slots = &mut out[dims.clone()];
-                slots.copy_from_slice(&scratch[lane..lane + len]);
-                half_angle_row(
-                    slots,
-                    spec.scale,
-                    &self.phases[dims.clone()],
-                    &self.phase_sins[dims],
-                );
+            // One vectorized half-angle store over the block's whole
+            // consumed width — bit-identical to the scalar
+            // `half_angle_cosine` loop (the row kernel's contract).
+            let dims = spec.out_start..spec.out_start + spec.out_width;
+            let slots = &mut out[dims.clone()];
+            slots.copy_from_slice(&scratch[..spec.out_width]);
+            half_angle_row(
+                slots,
+                spec.scale,
+                &self.phases[dims.clone()],
+                &self.phase_sins[dims],
+            );
+        }
+    }
+
+    /// Overlay epilogue for one sample: runs the half-angle map over the
+    /// raw overlay projections `patch` (overlay order, unit scale — an
+    /// exact no-op) and scatters the results into the overlaid columns of
+    /// the encoded row `out`.
+    fn finish_overlay(&self, patch: &mut [f32], out: &mut [f32]) {
+        half_angle_row(patch, 1.0, &self.overlay_phases, &self.overlay_phase_sins);
+        for (&dim, &value) in self.overlay_dims.iter().zip(patch.iter()) {
+            out[dim] = value;
+        }
+    }
+
+    /// Encodes rows `first_row..` of `batch` into `values` (whole
+    /// `output_dim`-wide rows): the structured pass per row, then one
+    /// overlay GEMM over the chunk's rows and the overlay epilogue per
+    /// row.  The work unit of every batch encode, f32 and quantized.
+    fn encode_rows(&self, batch: &Matrix, first_row: usize, values: &mut [f32]) {
+        let cols = self.output_dim;
+        let mut scratch = vec![0.0f32; self.block_dim];
+        for (i, row) in values.chunks_exact_mut(cols).enumerate() {
+            self.encode_structured_row(batch.row(first_row + i), row, &mut scratch);
+        }
+        let m = self.overlay_dims.len();
+        if m > 0 {
+            let mut patch = vec![0.0f32; values.len() / cols * m];
+            batch
+                .matmul_rows_into(&self.overlay_panel, first_row, &mut patch)
+                .expect("overlay panel inner dim is input_dim");
+            for (row, patch_row) in values.chunks_exact_mut(cols).zip(patch.chunks_exact_mut(m)) {
+                self.finish_overlay(patch_row, row);
             }
         }
     }
@@ -630,9 +600,7 @@ impl StructuredRbfEncoder {
     /// private dense base rows; still-structured dims re-run their block's
     /// transform (grouped per block so the FHT cost is paid once per block
     /// per sample).  Both are bit-identical to a full
-    /// [`Encoder::encode_batch`] — requested structured dims are live by
-    /// definition, so pruning never touches them.  Out-of-range dims are
-    /// ignored.
+    /// [`Encoder::encode_batch`].  Out-of-range dims are ignored.
     ///
     /// # Errors
     ///
@@ -714,12 +682,12 @@ impl StructuredRbfEncoder {
     /// optional centering and quantization, written straight into packed
     /// words — no full-precision output matrix is ever materialized.
     ///
-    /// Each stage reuses the exact kernel of the f32
+    /// Each chunk of rows runs the very work unit of the f32
     /// [`Encoder::encode_batch`] path (per-row block transforms plus
-    /// [`disthd_linalg::half_angle_row`]; the overlay GEMM via
-    /// [`Matrix::matmul_rows_into`] with the same scalar epilogue), so the
-    /// result equals quantizing the centered f32 encode of the same batch
-    /// **bit for bit**, at every kernel tier and thread count.
+    /// [`disthd_linalg::half_angle_row`], then the overlay GEMM via
+    /// [`Matrix::matmul_rows_into`] and its row epilogue), so the result
+    /// equals quantizing the centered f32 encode of the same batch **bit
+    /// for bit**, at every kernel tier and thread count.
     ///
     /// # Errors
     ///
@@ -748,33 +716,12 @@ impl StructuredRbfEncoder {
             }
         }
         let cols = self.output_dim;
-        let m = self.overlay_dims.len();
         Ok(QuantizedMatrix::from_row_producer(
             batch.rows(),
             cols,
             width,
             |first_row, values| {
-                let n = values.len() / cols;
-                let mut scratch = vec![0.0f32; self.block_dim];
-                for (i, row) in values.chunks_exact_mut(cols).enumerate() {
-                    self.encode_structured_row(batch.row(first_row + i), row, &mut scratch);
-                }
-                if m > 0 {
-                    let mut patch = vec![0.0f32; n * m];
-                    batch
-                        .matmul_rows_into(&self.overlay_panel, first_row, &mut patch)
-                        .expect("shapes validated above");
-                    for (row, patch_row) in values.chunks_exact_mut(cols).zip(patch.chunks_exact(m))
-                    {
-                        for (j, &dim) in self.overlay_dims.iter().enumerate() {
-                            row[dim] = half_angle_cosine(
-                                patch_row[j],
-                                self.phases[dim],
-                                self.phase_sins[dim],
-                            );
-                        }
-                    }
-                }
+                self.encode_rows(batch, first_row, values);
                 if let Some(means) = center {
                     for row in values.chunks_exact_mut(cols) {
                         for (v, &mu) in row.iter_mut().zip(means) {
@@ -809,10 +756,12 @@ impl Encoder for StructuredRbfEncoder {
         self.encode_structured_row(features, &mut out, &mut scratch);
         // The GEMM's per-element chain, so a single encode equals its row
         // of `encode_batch` bit for bit.
-        for (j, &dim) in self.overlay_dims.iter().enumerate() {
-            let p = dot_gemm_order(features, self.overlay_rows.row(j));
-            out[dim] = half_angle_cosine(p, self.phases[dim], self.phase_sins[dim]);
-        }
+        let mut patch: Vec<f32> = self
+            .overlay_rows
+            .iter_rows()
+            .map(|base| dot_gemm_order(features, base))
+            .collect();
+        self.finish_overlay(&mut patch, &mut out);
         Ok(out)
     }
 
@@ -828,45 +777,20 @@ impl Encoder for StructuredRbfEncoder {
         if out.is_empty() {
             return Ok(out);
         }
-        // Structured pass.  Small batches run serially — the pool's
-        // fork/join cost exceeds the butterfly work — and larger ones fan
-        // out in fixed shape-derived chunks (bit-identical at any thread
-        // count).  The per-chunk scratch makes the FHT workspace
-        // thread-private without a per-row allocation.
+        // Small batches run serially — the pool's fork/join cost exceeds
+        // the butterfly work — and larger ones fan out in fixed
+        // shape-derived chunks (bit-identical at any thread count).  Each
+        // work unit runs the structured pass and the overlay GEMM over its
+        // own rows, with thread-private scratch.
         if batch.rows() * self.output_dim < ENCODE_PAR_MIN_ELEMS {
-            let mut scratch = vec![0.0f32; self.block_dim];
-            for r in 0..batch.rows() {
-                self.encode_structured_row(batch.row(r), out.row_mut(r), &mut scratch);
-            }
+            self.encode_rows(batch, 0, out.as_mut_slice());
         } else {
             let chunk_rows = encode_chunk_rows(self.output_dim);
             parallel::par_chunks_mut(
                 out.as_mut_slice(),
                 chunk_rows * self.output_dim,
-                |chunk_index, chunk| {
-                    let mut scratch = vec![0.0f32; self.block_dim];
-                    let first = chunk_index * chunk_rows;
-                    for (offset, row) in chunk.chunks_mut(self.output_dim).enumerate() {
-                        self.encode_structured_row(batch.row(first + offset), row, &mut scratch);
-                    }
-                },
+                |chunk_index, chunk| self.encode_rows(batch, chunk_index * chunk_rows, chunk),
             );
-        }
-        // Overlay pass: one small dense GEMM over the evicted dims'
-        // private base vectors, fused with the same epilogue, scattered
-        // into the overlaid columns.
-        if !self.overlay_dims.is_empty() {
-            let patch = batch.matmul_prepacked_map(&self.overlay_panel, |j, p| {
-                let dim = self.overlay_dims[j];
-                half_angle_cosine(p, self.phases[dim], self.phase_sins[dim])
-            })?;
-            for r in 0..batch.rows() {
-                let patch_row = patch.row(r);
-                let out_row = out.row_mut(r);
-                for (j, &dim) in self.overlay_dims.iter().enumerate() {
-                    out_row[dim] = patch_row[j];
-                }
-            }
         }
         Ok(out)
     }
@@ -877,7 +801,6 @@ impl RegenerativeEncoder for StructuredRbfEncoder {
         let gaussian = Gaussian::new(0.0, self.base_std);
         let phase = Uniform::phase();
         let mut column = vec![0.0f32; self.input_dim];
-        let mut evicted_any = false;
         for &dim in dims {
             if dim >= self.output_dim {
                 continue;
@@ -886,32 +809,30 @@ impl RegenerativeEncoder for StructuredRbfEncoder {
             // base vector, then one phase.
             gaussian.fill(rng, &mut column);
             let new_phase = phase.sample(rng);
+            let new_phase_sin = sin_det(new_phase);
             let j = self.overlay_index[dim];
             if j == NOT_OVERLAID {
                 self.overlay_index[dim] = self.overlay_dims.len() as u32;
                 self.overlay_dims.push(dim);
+                self.overlay_phases.push(new_phase);
+                self.overlay_phase_sins.push(new_phase_sin);
                 self.overlay_rows
                     .push_row(&column)
                     .expect("overlay row width is input_dim by construction");
-                evicted_any = true;
             } else {
-                self.overlay_rows
-                    .row_mut(j as usize)
-                    .copy_from_slice(&column);
+                let j = j as usize;
+                self.overlay_phases[j] = new_phase;
+                self.overlay_phase_sins[j] = new_phase_sin;
+                self.overlay_rows.row_mut(j).copy_from_slice(&column);
             }
             self.phases[dim] = new_phase;
-            self.phase_sins[dim] = sin_det(new_phase);
+            self.phase_sins[dim] = new_phase_sin;
             self.regenerated += 1;
         }
         if !dims.is_empty() {
             // The GEMM-side panel is rebuilt once per regeneration call,
             // never on the encode hot path.
             self.overlay_panel = pack_overlay(&self.overlay_rows);
-        }
-        if evicted_any {
-            // Freshly evicted dims drop out of the butterfly final stage
-            // and the epilogue — pruning tightens as the overlay grows.
-            self.rebuild_prune_state();
         }
     }
 
@@ -1192,14 +1113,13 @@ mod tests {
     }
 
     #[test]
-    fn reencode_dims_is_bit_identical_under_pruning() {
-        // With dims evicted, the prune plans drop their butterflies — but
-        // reencode of *live* dims must still equal the full encode bit for
-        // bit (live lanes see the identical operation sequence).
+    fn reencode_dims_is_bit_identical() {
+        // With dims evicted, reencode of still-structured dims must equal
+        // the full encode bit for bit (the same block transform and
+        // epilogue).
         let mut enc = StructuredRbfEncoder::new(6, 200, RngSeed(77));
         let mut rng = SeededRng::new(RngSeed(78));
         enc.regenerate(&[1, 2, 3, 40, 41, 120, 199], &mut rng);
-        assert!(enc.prune_plans.iter().any(|p| p.is_some()));
         let batch = Matrix::from_rows(&[
             vec![0.3, -0.1, 0.8, 0.2, -0.7, 0.5],
             vec![0.0, 0.4, -0.4, 0.9, 0.1, -0.2],
@@ -1215,32 +1135,6 @@ mod tests {
         }
         enc.reencode_dims(&batch, &mut encoded, &live_dims).unwrap();
         assert_eq!(encoded.as_slice(), reference.as_slice());
-    }
-
-    #[test]
-    fn pruning_toggle_is_bitwise_invisible_on_output() {
-        // Pruning elides only both-dead butterflies and dead-lane
-        // epilogues; the final encoded rows (overlay included) must be
-        // bit-identical with it on or off.  "Off" clears the prune plans
-        // and marks every in-range lane live, so overlaid dims are
-        // computed by the structured pass and then overwritten.
-        let mut enc = StructuredRbfEncoder::new(6, 300, RngSeed(31));
-        let mut rng = SeededRng::new(RngSeed(32));
-        let evict: Vec<usize> = (0..120).map(|i| (i * 7) % 300).collect();
-        enc.regenerate(&evict, &mut rng);
-        assert!(enc.prune_plans.iter().any(|p| p.is_some()));
-        let batch = Matrix::from_fn(9, 6, |r, c| ((r * 3 + c) as f32).cos() * 0.6);
-        let pruned = enc.encode_batch(&batch).unwrap();
-        let single_pruned = enc.encode(batch.row(0)).unwrap();
-        enc.prune_plans.iter_mut().for_each(|p| *p = None);
-        enc.live_runs = enc
-            .blocks
-            .iter()
-            .map(|spec| vec![(0, spec.out_width as u32)])
-            .collect();
-        let full = enc.encode_batch(&batch).unwrap();
-        assert_eq!(pruned.as_slice(), full.as_slice());
-        assert_eq!(single_pruned, enc.encode(batch.row(0)).unwrap());
     }
 
     #[test]
@@ -1323,16 +1217,15 @@ mod tests {
         enc.regenerate(&[5, 195], &mut rng);
         let mut after = enc.encode_batch(&batch).unwrap();
         for r in 0..batch.rows() {
+            // Overlaid dims run through the GEMM in batch mode and
+            // `dot_gemm_order` in single mode: the same chain, so the same
+            // bits.
             let single = enc.encode(batch.row(r)).unwrap();
-            for (c, (&a, &b)) in after.row(r).iter().zip(single.iter()).enumerate() {
-                if c == 5 || c == 195 {
-                    // Overlaid dims run through the GEMM in batch mode and
-                    // plain dots in single mode: ≤ 1 ulp of FMA slack.
-                    assert!((a - b).abs() < 1e-5, "({r},{c}): {a} vs {b}");
-                } else {
-                    assert_eq!(a, b, "({r},{c}) after regeneration");
-                }
-            }
+            assert_eq!(
+                after.row(r),
+                single.as_slice(),
+                "row {r} after regeneration"
+            );
         }
         enc.reencode_dims(&batch, &mut after, &[193, 199]).unwrap();
         let full = enc.encode_batch(&batch).unwrap();

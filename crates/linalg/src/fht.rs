@@ -32,35 +32,16 @@
 //!   full-width `vaddps`/`vsubps` pairs under `target-cpu=native`;
 //!   hand-written AVX2 intrinsics measured no faster.
 //!
-//! ## Zero tails, fused signs and pruning
+//! ## Fused signs
 //!
-//! [`fht_inplace_opts`] layers three refinements over the plain transform,
-//! all driven by [`FhtOpts`]:
-//!
-//! * **Zero-aware front end** (`nonzero_len`) — when the caller guarantees
-//!   a `+0.0` tail (zero-padded input), early passes skip all-zero groups
-//!   outright and specialize straddling groups to `lo ← lo + 0.0`,
-//!   `hi ← lo` (copy) — bit-identical to the full butterfly because
-//!   `x − 0.0 ≡ x` and `x + 0.0` only normalizes `−0.0`, exactly as the
-//!   true add would against a `+0.0` operand.
-//! * **Fused signs** (`first_stage_signs`) — a ±1 diagonal folded into
-//!   the radix-8 base's loads, bit-identical to multiplying first.
-//! * **Pruned back end** ([`FhtPrunePlan`]) — the final stride-`n/2` stage
-//!   is the only stage whose butterflies feed exactly two output lanes
-//!   each, so a butterfly whose *both* outputs are dead (evicted to the
-//!   encoder's dense overlay, or beyond the consumed width) can be elided
-//!   without touching any live lane.  Live lanes see the identical
-//!   operation sequence, hence stay bitwise equal to the unpruned
-//!   transform.
+//! [`fht_inplace_signed`] transforms `signs ⊙ data` for a ±1 diagonal
+//! `signs`, folding the multiply into the radix-8 base's loads: the same
+//! multiplies happen before the same adds, so the result is bit-identical
+//! to multiplying first, and the buffer is read once instead of twice.
 
 /// Largest sub-transform run to completion inside one cache block:
 /// 4096 f32 = 16 KiB, resident in a 32 KiB L1 alongside its write stream.
 const FHT_BLOCK: usize = 4096;
-
-/// Dead-pair gaps shorter than this are computed rather than skipped when
-/// building an [`FhtPrunePlan`] — one 256-bit vector step covers 8 pairs,
-/// so a shorter skip fragments the vector loop for no net win.
-const PRUNE_MERGE_GAP: u32 = 8;
 
 /// Applies the unnormalized Walsh–Hadamard transform to `data` in place.
 ///
@@ -85,8 +66,35 @@ const PRUNE_MERGE_GAP: u32 = 8;
 /// Panics if `data.len()` is not a power of two (callers zero-pad; the
 /// structured encoder rounds its block size up to the next power of two).
 pub fn fht_inplace(data: &mut [f32]) {
+    transform(data, None);
+}
+
+/// Applies the unnormalized Walsh–Hadamard transform to `signs ⊙ data`
+/// in place, for a ±1 diagonal `signs` — bit-identical to multiplying
+/// `data` by `signs` lane by lane and then calling [`fht_inplace`] (see
+/// the module docs).
+///
+/// # Panics
+///
+/// Panics if `signs.len() != data.len()` or the length is not a power of
+/// two.
+pub fn fht_inplace_signed(data: &mut [f32], signs: &[f32]) {
+    assert_eq!(
+        signs.len(),
+        data.len(),
+        "sign diagonal length must match data"
+    );
+    transform(data, Some(signs));
+}
+
+/// The cache-blocked ascending transform of `signs ⊙ data` (of `data`
+/// when `signs` is `None`).
+fn transform(data: &mut [f32], signs: Option<&[f32]>) {
     let n = data.len();
     if n <= 1 {
+        if let (1, Some(s)) = (n, signs) {
+            data[0] *= s[0];
+        }
         return;
     }
     assert!(
@@ -97,8 +105,8 @@ pub fn fht_inplace(data: &mut [f32]) {
     // completion inside each block (one load of the block covers
     // log2(FHT_BLOCK) passes).
     let block = n.min(FHT_BLOCK);
-    for chunk in data.chunks_mut(block) {
-        fht_in_cache(chunk);
+    for (index, chunk) in data.chunks_mut(block).enumerate() {
+        fht_in_cache(chunk, signs.map(|s| &s[index * block..(index + 1) * block]));
     }
     // Streaming phase: the remaining strides pair elements across blocks.
     let mut stride = block;
@@ -108,15 +116,31 @@ pub fn fht_inplace(data: &mut [f32]) {
     }
 }
 
-/// Full transform of one cache-resident block (`len ≤ FHT_BLOCK`).
-fn fht_in_cache(data: &mut [f32]) {
+/// Full transform of one cache-resident block (`len ≤ FHT_BLOCK`), with
+/// the optional sign diagonal applied on the first pass's loads.
+fn fht_in_cache(data: &mut [f32], signs: Option<&[f32]>) {
     let n = data.len();
     let mut stride = 1;
     if n >= 8 {
-        for group in data.chunks_exact_mut(8) {
-            butterfly8(group);
+        match signs {
+            Some(s) => {
+                for (group, sg) in data.chunks_exact_mut(8).zip(s.chunks_exact(8)) {
+                    for (v, &x) in group.iter_mut().zip(sg) {
+                        *v *= x;
+                    }
+                    butterfly8(group);
+                }
+            }
+            None => data.chunks_exact_mut(8).for_each(butterfly8),
         }
         stride = 8;
+    } else if let Some(s) = signs {
+        // n ∈ {2, 4} has no radix-8 base to fuse the signs into; a plain
+        // upfront multiply keeps the bits (it happens before any
+        // butterfly touches the lane).
+        for (v, &x) in data.iter_mut().zip(s) {
+            *v *= x;
+        }
     }
     // n ∈ {2, 4} is too short for the radix-8 base kernel.
     while stride < n {
@@ -206,301 +230,6 @@ impl std::fmt::Display for FhtSchedule {
         f.write_str(match self {
             FhtSchedule::Ascending => "ascending",
         })
-    }
-}
-
-/// Final-stage prune plan: which stride-`n/2` butterflies still feed a
-/// live output lane.
-///
-/// Lane `j` and lane `j + n/2` form one final-stage pair; the pair is
-/// *live* when either output is still read downstream.  The plan stores
-/// maximal runs of live pairs so the pruned pass stays a handful of
-/// contiguous dual-stream loops (vectorizable) instead of a per-lane
-/// branch.  Dead pairs are skipped entirely, leaving garbage in dead
-/// lanes — sound because dead lanes are, by definition, never read.
-///
-/// Runs separated by fewer than 8 dead pairs (one 256-bit vector step)
-/// are coalesced: computing a dead pair's butterfly writes its *true*
-/// value (which nobody reads), and that costs less than fragmenting the
-/// vectorized dual-stream loop.  Pruning therefore only elides work where
-/// the dead region is wide enough to beat vector-width overheads — for
-/// scattered eviction the plan degenerates to full and the dense fast
-/// path runs instead, which is the profitable choice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FhtPrunePlan {
-    n: usize,
-    /// `(start, len)` runs of live pair indices in `[0, n/2)`.
-    runs: Vec<(u32, u32)>,
-    full: bool,
-}
-
-impl FhtPrunePlan {
-    /// Builds a plan for an `n`-point transform from a per-lane liveness
-    /// predicate (`live(lane)` for `lane < n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two or is < 2.
-    pub fn from_live(n: usize, mut live: impl FnMut(usize) -> bool) -> Self {
-        assert!(
-            n.is_power_of_two() && n >= 2,
-            "FhtPrunePlan: n = {n} must be a power of two >= 2"
-        );
-        let half = n / 2;
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        for j in 0..half {
-            if live(j) || live(j + half) {
-                let j = j as u32;
-                match runs.last_mut() {
-                    Some((start, len)) if j - (*start + *len) < PRUNE_MERGE_GAP => {
-                        *len = j - *start + 1;
-                    }
-                    _ => runs.push((j, 1)),
-                }
-            }
-        }
-        let full = runs == [(0, half as u32)];
-        Self { n, runs, full }
-    }
-
-    /// Plan that keeps every pair (the unpruned transform).
-    pub fn full(n: usize) -> Self {
-        Self::from_live(n, |_| true)
-    }
-
-    /// Transform length this plan was built for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when no butterfly is elided (the plan is a no-op).
-    pub fn is_full(&self) -> bool {
-        self.full
-    }
-
-    /// Number of final-stage pairs the pruned pass computes, of `n/2`
-    /// total — the live pairs plus any dead pairs absorbed by gap
-    /// coalescing.
-    pub fn retained_pairs(&self) -> usize {
-        self.runs.iter().map(|&(_, len)| len as usize).sum()
-    }
-}
-
-/// Options for [`fht_inplace_opts`] — zero-tail extent, fused first-stage
-/// diagonal and final-stage prune plan.  Construct through
-/// [`FhtOpts::dense`] and override fields as needed (there is no
-/// `Default`: a defaulted `nonzero_len` of 0 would silently declare the
-/// whole input zero).
-#[derive(Debug, Clone, Copy)]
-pub struct FhtOpts<'a> {
-    /// Leading lanes that may be nonzero.  **Contract:** every lane at
-    /// index `>= nonzero_len` must hold `+0.0` *bits* (the natural state
-    /// of a freshly zero-padded buffer); the zero-aware passes then skip
-    /// work on the tail while staying bit-identical to the full
-    /// transform.  Use `usize::MAX` (or `data.len()`) for dense inputs.
-    pub nonzero_len: usize,
-    /// Optional ±1 diagonal fused into the first butterfly pass: computes
-    /// the transform of `signs ⊙ data` bit-identically to multiplying
-    /// first, saving one full pass over the buffer.  Requires a dense
-    /// input (`nonzero_len >= data.len()`): a `−1` sign on a zero lane
-    /// would mint `−0.0` and break the zero-tail bit contract.
-    pub first_stage_signs: Option<&'a [f32]>,
-    /// Optional final-stage prune plan.
-    pub prune: Option<&'a FhtPrunePlan>,
-}
-
-impl<'a> FhtOpts<'a> {
-    /// Dense, unpruned transform.
-    pub fn dense() -> Self {
-        Self {
-            nonzero_len: usize::MAX,
-            first_stage_signs: None,
-            prune: None,
-        }
-    }
-}
-
-/// [`fht_inplace`] with an explicit zero-tail extent, fused
-/// first-stage sign diagonal and final-stage prune plan — the structured
-/// encoder's entry point (see the module docs for the soundness
-/// arguments).  With default options this is exactly [`fht_inplace`].
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a power of two (or 0/1), if
-/// `first_stage_signs` is present with the wrong length or a non-dense
-/// `nonzero_len`, or if `prune` was built for a different length.
-pub fn fht_inplace_opts(data: &mut [f32], opts: &FhtOpts) {
-    let n = data.len();
-    let mut signs = opts.first_stage_signs;
-    if let Some(s) = signs {
-        assert_eq!(s.len(), n, "first_stage_signs length must match data");
-        assert!(
-            opts.nonzero_len >= n,
-            "first_stage_signs requires a dense input (nonzero_len >= len)"
-        );
-    }
-    if let Some(p) = opts.prune {
-        assert_eq!(p.n(), n, "prune plan length must match data");
-    }
-    if n <= 1 {
-        if let (1, Some(s)) = (n, signs) {
-            data[0] *= s[0];
-        }
-        return;
-    }
-    assert!(
-        n.is_power_of_two(),
-        "fht_inplace: length {n} is not a power of two"
-    );
-    let nz = opts.nonzero_len.min(n);
-    debug_assert!(
-        data[nz..].iter().all(|v| v.to_bits() == 0),
-        "zero-tail contract violated: lanes past nonzero_len must be +0.0"
-    );
-    if nz == 0 {
-        // All-zero input: the transform of +0.0 everywhere is +0.0
-        // everywhere — already in place.
-        return;
-    }
-    if n < 8 {
-        // n ∈ {2, 4} has no radix-8 base to fuse the signs into; a plain
-        // upfront multiply keeps the bits (it happens before any
-        // butterfly touches the lane).
-        if let Some(s) = signs.take() {
-            for (v, &sg) in data.iter_mut().zip(s) {
-                *v *= sg;
-            }
-        }
-    }
-    let prune = opts.prune.filter(|p| !p.is_full());
-    if nz >= n && signs.is_none() && prune.is_none() {
-        // Dense unpruned: the cache-blocked radix-8 fast path
-        // (bit-identical to the plain ascending loop below).
-        fht_inplace(data);
-    } else {
-        fht_ascending_opts(data, nz, signs, prune);
-    }
-}
-
-/// Ascending-stride schedule with zero-tail skipping, optional fused
-/// signs and optional final-stage pruning.
-///
-/// The base (strides 1, 2, 4) reuses the dense fast path's radix-8
-/// register kernel: with signs, the ±1 diagonal is folded into the group
-/// loads (the identical multiplies happen before the identical adds, so
-/// bits match an explicit multiply-then-transform); with a zero tail,
-/// all-zero 8-groups are skipped outright (`+0.0` in, `+0.0` out — an
-/// 8-group is self-contained at these strides).  The remaining strides
-/// run the streaming ladder below.
-fn fht_ascending_opts(
-    data: &mut [f32],
-    nz: usize,
-    signs: Option<&[f32]>,
-    prune: Option<&FhtPrunePlan>,
-) {
-    let n = data.len();
-    if n < 8 {
-        // n ∈ {2, 4}: signs were multiplied upfront; generic ladder.
-        ascending_streaming(data, 1, nz, prune);
-        return;
-    }
-    let ext = if let Some(s) = signs {
-        // Dense by contract (asserted by the caller).
-        for (group, sg) in data.chunks_exact_mut(8).zip(s.chunks_exact(8)) {
-            for (v, &x) in group.iter_mut().zip(sg) {
-                *v *= x;
-            }
-            butterfly8(group);
-        }
-        n
-    } else {
-        let live = (nz.div_ceil(8) * 8).min(n);
-        for group in data[..live].chunks_exact_mut(8) {
-            butterfly8(group);
-        }
-        live
-    };
-    ascending_streaming(data, 8, ext, prune);
-}
-
-/// Ascending passes from `start_stride` to `n/2`, with zero-tail extent
-/// tracking and the optional pruned final stage.
-///
-/// `ext` is the exclusive upper bound of possibly-nonzero lanes on entry
-/// (every lane past it holds `+0.0` bits); a stride-`s` pass extends the
-/// straddling group's nonzero prefix by at most `s` lanes (and never past
-/// the group's end), so the extent erodes by one stride per pass until
-/// the buffer is dense.  When the base already covered the final stride
-/// (`n = 8` with a prune plan), the plan is simply unused — the full
-/// butterfly computed every live lane's true value.
-fn ascending_streaming(
-    data: &mut [f32],
-    start_stride: usize,
-    mut ext: usize,
-    prune: Option<&FhtPrunePlan>,
-) {
-    let n = data.len();
-    let mut stride = start_stride;
-    while stride < n {
-        let group = 2 * stride;
-        if stride == n / 2 {
-            if let Some(plan) = prune {
-                // Correct regardless of `ext`: lanes past the extent
-                // physically hold +0.0, so the plain butterfly over them
-                // *is* the true operation.
-                pruned_final_pass(data, plan);
-                break;
-            }
-        }
-        if ext >= n {
-            cross_pass(data, stride);
-        } else {
-            let full_groups = ext / group;
-            let (dense_part, rest) = data.split_at_mut(full_groups * group);
-            cross_pass(dense_part, stride);
-            let rel = ext - full_groups * group;
-            if rel > 0 {
-                zero_tail_group(&mut rest[..group], stride, rel);
-            }
-            // Groups past the extent are all +0.0 and stay +0.0.
-            let covered = full_groups * group + if rel > 0 { group } else { 0 };
-            ext = (ext + stride).min(covered).min(n);
-        }
-        stride <<= 1;
-    }
-}
-
-/// One stride-`s` butterfly over a single `2s` group whose nonzero lanes
-/// are the prefix `[0, rel)` with `0 < rel < 2s`.  Pairs with a zero `hi`
-/// operand specialize to `lo ← lo + 0.0` (normalizes a potential `−0.0`,
-/// exactly as the true add would) and `hi ← lo` (since `x − 0.0 ≡ x`
-/// bitwise); pairs with both operands zero are skipped and stay `+0.0`.
-fn zero_tail_group(group: &mut [f32], stride: usize, rel: usize) {
-    debug_assert!(rel > 0 && rel < group.len());
-    let (lo, hi) = group.split_at_mut(stride);
-    let dense = rel.saturating_sub(stride);
-    dual_stream_add_sub(&mut lo[..dense], &mut hi[..dense]);
-    for (a, b) in lo[dense..rel.min(stride)]
-        .iter_mut()
-        .zip(hi[dense..rel.min(stride)].iter_mut())
-    {
-        let x = *a;
-        *a = x + 0.0;
-        *b = x;
-    }
-}
-
-/// Final stride-`n/2` pass restricted to the plan's live pair runs.  Each
-/// run is the same contiguous dual-stream add/sub loop as a full pass, so
-/// live lanes get the identical operation sequence (bit-identical); dead
-/// pairs are skipped outright.
-fn pruned_final_pass(data: &mut [f32], plan: &FhtPrunePlan) {
-    let half = data.len() / 2;
-    let (lo_half, hi_half) = data.split_at_mut(half);
-    for &(start, len) in &plan.runs {
-        let run = start as usize..(start + len) as usize;
-        dual_stream_add_sub(&mut lo_half[run.clone()], &mut hi_half[run]);
     }
 }
 
@@ -651,60 +380,12 @@ mod tests {
         fht_inplace(&mut data);
     }
 
-    /// Zero-pads `input` to length `n` with +0.0 (the contract's tail).
-    fn padded(input: &[f32], n: usize) -> Vec<f32> {
-        let mut v = vec![0.0f32; n];
-        v[..input.len()].copy_from_slice(input);
-        v
-    }
-
-    #[test]
-    fn dense_opts_match_fht_inplace_bitwise() {
-        for n in [2usize, 8, 64, 1024, 2 * FHT_BLOCK] {
-            let input = pseudo_random(n, 0xD0 + n as u64);
-            let mut plain = input.clone();
-            fht_inplace(&mut plain);
-            let mut opts = input;
-            fht_inplace_opts(&mut opts, &FhtOpts::dense());
-            assert_eq!(plain, opts, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn zero_tail_matches_full_transform_bitwise() {
-        // Exhaustive-ish sweep over (n, nonzero_len) pairs, including
-        // tails crossing the radix-8 base, the straddle group and
-        // whole-group skips, plus a negative-zero lane inside the live
-        // prefix (x + 0.0 must normalize it like the true add).
-        for n in [2usize, 4, 8, 16, 64, 1024, 8192] {
-            for nz in [0usize, 1, 3, 5, n / 4 + 1, n / 2, 3 * n / 4, n - 1, n] {
-                if nz > n {
-                    continue;
-                }
-                let mut live = pseudo_random(nz, (n + nz) as u64 + 7);
-                if nz > 1 {
-                    live[nz / 2] = -0.0;
-                }
-                let mut full = padded(&live, n);
-                fht_reference(&mut full);
-                let mut tail = padded(&live, n);
-                let opts = FhtOpts {
-                    nonzero_len: nz,
-                    ..FhtOpts::dense()
-                };
-                fht_inplace_opts(&mut tail, &opts);
-                let same = full
-                    .iter()
-                    .zip(tail.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "n = {n}, nz = {nz}");
-            }
-        }
-    }
-
     #[test]
     fn fused_signs_match_explicit_multiply_bitwise() {
-        for n in [2usize, 4, 8, 16, 64, 1024] {
+        // Sizes below the radix-8 base, inside one cache block and across
+        // blocks; the reference multiplies first, then runs the plain
+        // ascending loop.
+        for n in [1usize, 2, 4, 8, 16, 64, 1024, 2 * FHT_BLOCK] {
             let input = pseudo_random(n, 0x516 + n as u64);
             let signs: Vec<f32> = (0..n)
                 .map(|i| if (i * 7 + n) % 3 == 0 { -1.0 } else { 1.0 })
@@ -712,97 +393,9 @@ mod tests {
             let mut explicit: Vec<f32> = input.iter().zip(&signs).map(|(&v, &s)| v * s).collect();
             fht_reference(&mut explicit);
             let mut fused = input;
-            let opts = FhtOpts {
-                first_stage_signs: Some(&signs),
-                ..FhtOpts::dense()
-            };
-            fht_inplace_opts(&mut fused, &opts);
+            fht_inplace_signed(&mut fused, &signs);
             assert_eq!(explicit, fused, "n = {n}");
         }
-    }
-
-    #[test]
-    fn pruned_final_stage_keeps_live_lanes_bitwise() {
-        for n in [2usize, 8, 64, 1024, 8192] {
-            let input = pseudo_random(n, 0x9121 + n as u64);
-            let mut full = input.clone();
-            fht_reference(&mut full);
-            // Kill a deterministic scatter of lanes (both half-partners
-            // dead for some pairs, one for others, none for the rest).
-            let dead = |lane: usize| (lane * 2654435761usize) % 5 < 2;
-            let plan = FhtPrunePlan::from_live(n, |lane| !dead(lane));
-            let mut pruned = input;
-            let opts = FhtOpts {
-                prune: Some(&plan),
-                ..FhtOpts::dense()
-            };
-            fht_inplace_opts(&mut pruned, &opts);
-            for lane in 0..n {
-                if !dead(lane) {
-                    assert_eq!(
-                        full[lane].to_bits(),
-                        pruned[lane].to_bits(),
-                        "n = {n}, live lane {lane}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_zero_tail_combination_keeps_live_lanes_bitwise() {
-        // Zero-aware front end and pruned back end together — the
-        // encoder's actual hot configuration for a padded, partly
-        // evicted block.
-        let n = 1024;
-        let nz = 617;
-        let live_input = pseudo_random(nz, 0x617);
-        let mut full = padded(&live_input, n);
-        fht_reference(&mut full);
-        let dead = |lane: usize| lane % 7 == 3 || lane >= 1000;
-        let plan = FhtPrunePlan::from_live(n, |lane| !dead(lane));
-        let mut pruned = padded(&live_input, n);
-        let opts = FhtOpts {
-            nonzero_len: nz,
-            prune: Some(&plan),
-            ..FhtOpts::dense()
-        };
-        fht_inplace_opts(&mut pruned, &opts);
-        for lane in 0..n {
-            if !dead(lane) {
-                assert_eq!(full[lane].to_bits(), pruned[lane].to_bits(), "lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn prune_plan_reports_runs_and_fullness() {
-        let plan = FhtPrunePlan::full(16);
-        assert!(plan.is_full());
-        assert_eq!(plan.retained_pairs(), 8);
-        // Pair j is live iff lane j or lane j+8 is live: pairs 1, 2 and 4
-        // here, whose 1-pair gap coalesces into the single run (1, 4).
-        let plan = FhtPrunePlan::from_live(16, |lane| lane == 1 || lane == 2 || lane == 12);
-        assert!(!plan.is_full());
-        assert_eq!(plan.retained_pairs(), 4);
-        assert_eq!(plan.n(), 16);
-        let none = FhtPrunePlan::from_live(8, |_| false);
-        assert_eq!(none.retained_pairs(), 0);
-        assert!(!none.is_full());
-    }
-
-    #[test]
-    fn prune_plan_coalesces_narrow_gaps_only() {
-        // A 16-pair dead stretch stays a real skip; scattered dead pairs
-        // merge away (and a fully scattered mask degenerates to full).
-        let plan = FhtPrunePlan::from_live(64, |lane| !(8..56).contains(&lane));
-        assert!(!plan.is_full());
-        assert_eq!(plan.retained_pairs(), 16);
-        // Dead pairs at j % 16 ∈ {3, 4} (both lane partners dead): the
-        // 2-pair gaps are below the merge threshold, so the plan
-        // degenerates to full and the dense fast path runs instead.
-        let scattered = FhtPrunePlan::from_live(64, |lane| !matches!(lane % 16, 3 | 4));
-        assert!(scattered.is_full());
     }
 
     #[test]

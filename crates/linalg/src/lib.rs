@@ -15,8 +15,9 @@
 //! The matrix product runs on a cache-blocked, register-blocked kernel fanned
 //! out over the deterministic [`parallel`] backend: results are bit-identical
 //! at any thread count (`DISTHD_THREADS` / [`parallel::set_thread_count`]),
-//! and a per-element epilogue can be fused into the store phase
-//! ([`Matrix::matmul_map`]) so encoders never re-stream their output.
+//! and a per-element or per-row epilogue can be fused into the store phase
+//! ([`Matrix::matmul_map`], [`Matrix::matmul_prepacked_rows`]) so encoders
+//! never re-stream their output.
 //!
 //! ## Example
 //!
@@ -47,7 +48,7 @@ mod vector;
 pub use codepack::{sign_codes, symmetric_codes};
 pub use epilogue::{half_angle, half_angle_row, sin_det};
 pub use error::ShapeError;
-pub use fht::{fht_inplace, fht_inplace_opts, FhtOpts, FhtPrunePlan, FhtSchedule};
+pub use fht::{fht_inplace, fht_inplace_signed, FhtSchedule};
 pub use matrix::{dot_gemm_order, dot_gemm_order_from, Matrix, PackedRhs};
 pub use random::{Gaussian, RngSeed, SeededRng, Uniform};
 pub use sort::{argsort_ascending, argsort_descending, top_k_indices, top_k_largest};

@@ -354,7 +354,7 @@ impl Matrix {
         // step instead of striding `b_cols` floats, which defeats the
         // prefetcher and thrashes the TLB for wide outputs.  Packing is a
         // pure relayout, so it cannot perturb results.
-        self.matmul_prepacked_tier(&PackedRhs::pack(rhs), epilogue, tier)
+        self.matmul_prepacked_tier(&PackedRhs::pack(rhs), epilogue, |_| {}, tier)
     }
 
     /// Matrix product against an externally packed right-hand side, with a
@@ -387,19 +387,56 @@ impl Matrix {
                 (packed.inner, packed.cols),
             ));
         }
-        self.matmul_prepacked_tier(packed, epilogue, kernel_tier())
+        self.matmul_prepacked_tier(packed, epilogue, |_| {}, kernel_tier())
     }
 
-    /// [`Matrix::matmul_prepacked_map`] with an explicit micro-kernel tier,
-    /// for a panel whose shape is already checked.
-    fn matmul_prepacked_tier<F>(
+    /// Matrix product against an externally packed right-hand side, with a
+    /// fused per-*row* epilogue: `finish(row)` runs once on every output
+    /// row of raw accumulated values, inside the work unit that computed
+    /// it, and its result is the output row.
+    ///
+    /// Use this instead of [`Matrix::matmul_prepacked_map`] when the
+    /// epilogue has a vectorized row form: the encoders' half-angle map
+    /// runs as one [`crate::half_angle_row`] per row here, against one
+    /// scalar call per element in the per-element store phase.  The
+    /// products, the row chunking and the serial/parallel choice are
+    /// those of [`Matrix::matmul_prepacked_map`], so the raw values
+    /// `finish` sees are bit-identical to it at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `self.cols() != packed.inner()`.
+    pub fn matmul_prepacked_rows<G>(
+        &self,
+        packed: &PackedRhs,
+        finish: G,
+    ) -> Result<Matrix, ShapeError>
+    where
+        G: Fn(&mut [f32]) + Sync,
+    {
+        if self.cols != packed.inner {
+            return Err(ShapeError::new(
+                "matmul_prepacked",
+                self.shape(),
+                (packed.inner, packed.cols),
+            ));
+        }
+        self.matmul_prepacked_tier(packed, |_, x| x, finish, kernel_tier())
+    }
+
+    /// [`Matrix::matmul_prepacked_map`] with an explicit micro-kernel tier
+    /// and a per-row `finish` pass, for a panel whose shape is already
+    /// checked.
+    fn matmul_prepacked_tier<F, G>(
         &self,
         packed: &PackedRhs,
         epilogue: F,
+        finish: G,
         tier: KernelTier,
     ) -> Result<Matrix, ShapeError>
     where
         F: Fn(usize, f32) -> f32 + Sync,
+        G: Fn(&mut [f32]) + Sync,
     {
         if self.rows * packed.cols == 0 {
             return Ok(Matrix::zeros(self.rows, packed.cols));
@@ -411,6 +448,7 @@ impl Matrix {
             for (i, slot) in out.data.iter_mut().enumerate() {
                 *slot = epilogue(i % packed.cols, 0.0);
             }
+            out.data.chunks_exact_mut(packed.cols).for_each(&finish);
             return Ok(out);
         }
         let inner = packed.inner;
@@ -424,6 +462,7 @@ impl Matrix {
             gemm_row_block(
                 tier, a_block, inner, panel_data, b_cols, out_chunk, &epilogue,
             );
+            out_chunk.chunks_exact_mut(b_cols).for_each(&finish);
         };
         if gemm_runs_serial(self.rows, inner, b_cols) {
             // One tall block: the column-group blocking in
@@ -1429,6 +1468,30 @@ mod tests {
         }
         let wrong = PackedRhs::new(4, 5);
         assert!(a.matmul_prepacked_map(&wrong, |_, x| x).is_err());
+    }
+
+    #[test]
+    fn prepacked_row_epilogue_finishes_every_raw_row_once() {
+        // The row form must see exactly the raw products the element form
+        // stores, once per row, serial and pooled, including an empty
+        // inner dimension.
+        let finish = |row: &mut [f32]| row.iter_mut().for_each(|v| *v = *v * 3.0 + 0.5);
+        for &(m, k, n) in PARITY_SHAPES.iter().chain(&[(40, 64, 1030), (5, 0, 3)]) {
+            let a = dense_random(m, k, 0x50 + m as u64);
+            let packed = pack_rhs(&dense_random(k, n, 0x60 + n as u64));
+            let expected = a
+                .matmul_prepacked_map(&packed, |_, x| x * 3.0 + 0.5)
+                .unwrap();
+            for threads in [1usize, 4] {
+                let rows = crate::parallel::with_thread_count(threads, || {
+                    a.matmul_prepacked_rows(&packed, finish).unwrap()
+                });
+                assert_eq!(rows, expected, "shape ({m},{k},{n}), {threads} threads");
+            }
+        }
+        assert!(sample()
+            .matmul_prepacked_rows(&PackedRhs::new(4, 5), finish)
+            .is_err());
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Property-based tests (proptest) on the core data structures and the
 //! HDC invariants the paper's algorithms rely on.
 
-use disthd_hd::encoder::{Encoder, RbfEncoder, RegenerativeEncoder, StructuredRbfEncoder};
+use disthd::io::{load_deployed, save_deployed};
+use disthd::DeployedModel;
+use disthd_hd::center::EncodingCenter;
+use disthd_hd::encoder::{
+    AnyRbfEncoder, Encoder, RbfEncoder, RegenerativeEncoder, StructuredRbfEncoder,
+};
 use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
 use disthd_hd::{BinaryHypervector, BipolarHypervector, ClassModel};
-use disthd_linalg::{fht_inplace, fht_inplace_opts, parallel, FhtOpts, FhtPrunePlan};
+use disthd_linalg::{dot_gemm_order, half_angle, parallel, sin_det};
 use disthd_linalg::{Matrix, RngSeed, SeededRng};
 use proptest::prelude::*;
 
@@ -210,62 +215,10 @@ proptest! {
         prop_assert_eq!((last.fpr, last.tpr), (1.0, 1.0));
     }
 
-    /// The pruned FHT back end leaves every live lane bitwise equal to the
-    /// full ascending transform, for arbitrary sizes and eviction masks
-    /// (the elided butterflies only ever feed dead lanes).
-    #[test]
-    fn pruned_fht_keeps_live_lanes_bitwise(
-        exp in 1u32..13,
-        seed in 0u64..1000,
-        dead_pct in 0u32..90,
-    ) {
-        let n = 1usize << exp;
-        let mut rng = SeededRng::new(RngSeed(seed));
-        let input: Vec<f32> = (0..n).map(|_| rng.next_unit() - 0.5).collect();
-        let dead: Vec<bool> = (0..n).map(|_| rng.next_bool(f64::from(dead_pct) / 100.0)).collect();
-        let plan = FhtPrunePlan::from_live(n, |lane| !dead[lane]);
-        let mut full = input.clone();
-        fht_inplace(&mut full);
-        let mut pruned = input;
-        let opts = FhtOpts { prune: Some(&plan), ..FhtOpts::dense() };
-        fht_inplace_opts(&mut pruned, &opts);
-        for lane in 0..n {
-            if !dead[lane] {
-                prop_assert_eq!(full[lane].to_bits(), pruned[lane].to_bits(),
-                    "n {}, live lane {}", n, lane);
-            }
-        }
-    }
-
-    /// The zero-aware front end is bitwise invisible: transforming a zero-padded buffer with the skip paths equals
-    /// transforming it in full.
-    #[test]
-    fn zero_tail_fht_matches_full_bitwise(
-        exp in 1u32..13,
-        seed in 0u64..1000,
-        nz_frac in 1u32..101,
-    ) {
-        let n = 1usize << exp;
-        let nz = ((n as u64 * u64::from(nz_frac)).div_ceil(100) as usize).max(1);
-        let mut rng = SeededRng::new(RngSeed(seed));
-        let mut padded = vec![0.0f32; n];
-        for v in &mut padded[..nz] {
-            *v = rng.next_unit() - 0.5;
-        }
-        let mut full = padded.clone();
-        fht_inplace(&mut full);
-        let mut aware = padded;
-        let opts = FhtOpts { nonzero_len: nz, ..FhtOpts::dense() };
-        fht_inplace_opts(&mut aware, &opts);
-        let same = full.iter().zip(&aware).all(|(a, b)| a.to_bits() == b.to_bits());
-        prop_assert!(same, "n {} nz {}", n, nz);
-    }
-
     /// Structured batch encodes are bit-identical across thread counts
-    /// while the pruned/zero-aware paths are active (post-regeneration,
-    /// so eviction masks and overlay passes are in play).
+    /// after regeneration, with the overlay pass in play.
     #[test]
-    fn structured_encode_is_thread_count_invariant_under_pruning(
+    fn structured_encode_is_thread_count_invariant(
         rows in proptest::collection::vec(feature_vec(6), 24..32),
         threads in 2usize..9,
         seed in 0u64..100,
@@ -280,10 +233,10 @@ proptest! {
         prop_assert_eq!(serial.as_slice(), threaded.as_slice());
     }
 
-    /// `reencode_dims` under pruning returns exactly the full encode's
-    /// values (bitwise) on every dim it recomputes, structured or overlaid.
+    /// `reencode_dims` returns exactly the full encode's values (bitwise)
+    /// on every dim it recomputes, structured or overlaid.
     #[test]
-    fn reencode_dims_matches_full_encode_under_pruning(
+    fn reencode_dims_matches_full_encode(
         features in feature_vec(6),
         dims in proptest::collection::btree_set(0usize..256, 1..12),
         seed in 0u64..100,
@@ -320,5 +273,255 @@ proptest! {
         for count in test.class_histogram() {
             prop_assert_eq!(count, expected);
         }
+    }
+}
+
+/// Plain ascending-stride Walsh–Hadamard transform, one butterfly at a
+/// time: the FHT oracle.
+fn fht_oracle(data: &mut [f32]) {
+    let n = data.len();
+    let mut stride = 1;
+    while stride < n {
+        for start in (0..n).step_by(2 * stride) {
+            for i in start..start + stride {
+                let (x, y) = (data[i], data[i + stride]);
+                data[i] = x + y;
+                data[i + stride] = x - y;
+            }
+        }
+        stride <<= 1;
+    }
+}
+
+/// `half_angle` with the phase sine computed here, not read from a cache.
+fn oracle_epilogue(projection: f32, phase: f32) -> f32 {
+    half_angle(projection, phase, sin_det(phase))
+}
+
+/// Per-dim scalar oracle of one structured encode.  The block plan is
+/// re-derived from the shape: full-pad blocks read every feature into a
+/// zero-padded transform of `block_dim` lanes; half-block blocks read
+/// alternating head and tail windows, and a ragged last one shrinks to
+/// the next power of two of its width (at least 8 lanes).  Each block is
+/// three sign multiplies and scalar transforms, then the scale and
+/// `half_angle`; overlaid dims are `dot_gemm_order` then `half_angle`.
+fn structured_oracle(enc: &StructuredRbfEncoder, x: &[f32]) -> Vec<f32> {
+    let (f, d, bd) = (enc.input_dim(), enc.output_dim(), enc.block_dim());
+    let words = enc.packed_signs();
+    let sign = |i: usize| {
+        if (words[i / 64] >> (i % 64)) & 1 == 1 {
+            1.0f32
+        } else {
+            -1.0
+        }
+    };
+    let half_block = bd != f.next_power_of_two();
+    let base_std = enc.base_std();
+    let phases = enc.phases();
+    let mut out = vec![f32::NAN; d];
+    let mut offset = 0;
+    for (b, out_start) in (0..d).step_by(bd).enumerate() {
+        let width = (d - out_start).min(bd);
+        let td = if half_block && width < bd {
+            width.next_power_of_two().max(8.min(bd))
+        } else {
+            bd
+        };
+        let (window_start, window_len, scale) = if half_block {
+            let start = if b % 2 == 0 { 0 } else { f - td };
+            (
+                start,
+                td,
+                base_std * (f as f32 / td as f32).sqrt() / td as f32,
+            )
+        } else {
+            (0, f, base_std / td as f32)
+        };
+        let mut lanes = vec![0.0f32; td];
+        for (i, lane) in lanes[..window_len].iter_mut().enumerate() {
+            *lane = x[window_start + i] * sign(offset + i);
+        }
+        fht_oracle(&mut lanes);
+        for stage in 1..3 {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane *= sign(offset + stage * td + i);
+            }
+            fht_oracle(&mut lanes);
+        }
+        offset += 3 * td;
+        for (lane, &raw) in lanes[..width.min(td)].iter().enumerate() {
+            let dim = out_start + lane;
+            out[dim] = oracle_epilogue(raw * scale, phases[dim]);
+        }
+    }
+    assert_eq!(offset, enc.sign_count(), "re-derived block plan");
+    for (j, &dim) in enc.overlay_dims().iter().enumerate() {
+        out[dim] = oracle_epilogue(dot_gemm_order(x, enc.overlay_rows().row(j)), phases[dim]);
+    }
+    out
+}
+
+/// Per-dim scalar oracle of one dense batch-encode row:
+/// `dot_gemm_order` against the dim's base column, then `half_angle`.
+fn dense_oracle(enc: &RbfEncoder, x: &[f32]) -> Vec<f32> {
+    let bases = enc.bases().to_matrix();
+    (0..enc.output_dim())
+        .map(|dim| oracle_epilogue(dot_gemm_order(x, &bases.column(dim)), enc.phases()[dim]))
+        .collect()
+}
+
+/// Oracle of the dense single-row `encode`, which accumulates in the
+/// row-major axpy order instead: ascending features, zeros skipped, one
+/// multiply then one add per term.
+fn dense_single_row_oracle(enc: &RbfEncoder, x: &[f32]) -> Vec<f32> {
+    let bases = enc.bases().to_matrix();
+    let mut projections = vec![0.0f32; enc.output_dim()];
+    for (k, &feature) in x.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+        for (p, &b) in projections.iter_mut().zip(bases.row(k)) {
+            *p += feature * b;
+        }
+    }
+    projections
+        .iter()
+        .zip(enc.phases())
+        .map(|(&p, &phase)| oracle_epilogue(p, phase))
+        .collect()
+}
+
+/// The oracle of every batch path, one row per sample.
+fn batch_oracle(enc: &AnyRbfEncoder, batch: &Matrix) -> Matrix {
+    let rows: Vec<Vec<f32>> = (0..batch.rows())
+        .map(|r| match enc {
+            AnyRbfEncoder::Dense(e) => dense_oracle(e, batch.row(r)),
+            AnyRbfEncoder::Structured(e) => structured_oracle(e, batch.row(r)),
+        })
+        .collect();
+    Matrix::from_rows(&rows).expect("oracle rows")
+}
+
+fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+        panic!(
+            "{what}: element {i} is {} against the oracle's {}",
+            got[i], want[i]
+        );
+    }
+}
+
+/// Holds `encode_batch`, `encode_batch_quantized` (8-bit, with and
+/// without a center) and single-row `encode` to the oracle.
+fn check_encode_paths(enc: &AnyRbfEncoder, batch: &Matrix, what: &str) {
+    let oracle = batch_oracle(enc, batch);
+    let encoded = enc.encode_batch(batch).expect("encode_batch");
+    assert_bitwise(
+        encoded.as_slice(),
+        oracle.as_slice(),
+        &format!("{what}: encode_batch"),
+    );
+    let center: Vec<f32> = (0..enc.output_dim())
+        .map(|i| ((i * 7919) % 101) as f32 / 400.0 - 0.125)
+        .collect();
+    let mut centered = oracle.clone();
+    for r in 0..centered.rows() {
+        for (v, &mu) in centered.row_mut(r).iter_mut().zip(&center) {
+            *v -= mu;
+        }
+    }
+    for (means, expected) in [(None, &oracle), (Some(center.as_slice()), &centered)] {
+        let quantized = enc
+            .encode_batch_quantized(batch, means, BitWidth::B8)
+            .expect("encode_batch_quantized");
+        let reference = QuantizedMatrix::quantize(expected, BitWidth::B8);
+        let at = format!("{what}: encode_batch_quantized, center {}", means.is_some());
+        assert_eq!(quantized.as_words(), reference.as_words(), "{at}");
+        assert_bitwise(quantized.scales(), reference.scales(), &at);
+    }
+    for r in 0..batch.rows() {
+        let want = match enc {
+            AnyRbfEncoder::Dense(e) => dense_single_row_oracle(e, batch.row(r)),
+            AnyRbfEncoder::Structured(_) => oracle.row(r).to_vec(),
+        };
+        let single = enc.encode(batch.row(r)).expect("encode");
+        assert_bitwise(&single, &want, &format!("{what}: encode, row {r}"));
+    }
+}
+
+/// Every encode path of both encoders, bit for bit against one per-dim
+/// scalar oracle: half-block and full-pad structured shapes with ragged
+/// last blocks, about 20 % scattered overlay dims, a second regeneration
+/// that re-draws overlaid dims, `reencode_dims` after each regeneration,
+/// and a DHD save/load.  Batches are tall enough to fan out over the
+/// worker pool; CI runs this at `DISTHD_THREADS` 1 and 4.
+#[test]
+fn structured_and_dense_encode_paths_match_the_scalar_oracle() {
+    // F = 40: half-block (32 lanes), D = 1000 ends in an 8-lane ragged
+    // block.  F = 56: full pad (8 zero lanes of 64), D = 1000 ends in a
+    // block that consumes 40 of its 64 lanes.  Then a dense encoder.
+    let encoders = [
+        AnyRbfEncoder::Structured(StructuredRbfEncoder::new(40, 1000, RngSeed(61))),
+        AnyRbfEncoder::Structured(StructuredRbfEncoder::new(56, 1000, RngSeed(62))),
+        AnyRbfEncoder::Dense(RbfEncoder::new(40, 300, RngSeed(63))),
+    ];
+    for (case, mut enc) in encoders.into_iter().enumerate() {
+        let (f, d) = (enc.input_dim(), enc.output_dim());
+        let batch = Matrix::from_fn(48, f, |r, c| {
+            if (r + c) % 11 == 0 {
+                0.0
+            } else {
+                ((r * f + c) as f32 * 0.37).sin()
+            }
+        });
+        check_encode_paths(&enc, &batch, &format!("case {case}, fresh"));
+        // About 20 % of the dims, scattered; then a second draw that
+        // re-draws half of them and evicts a few more.
+        let first: Vec<usize> = (0..d).filter(|i| (i * 2654435761) % 5 == 0).collect();
+        let second: Vec<usize> = first
+            .iter()
+            .copied()
+            .step_by(2)
+            .chain([1, d - 1, d + 5])
+            .collect();
+        let mut rng = SeededRng::new(RngSeed(64 + case as u64));
+        for (round, dims) in [first, second].iter().enumerate() {
+            let mut encoded = enc.encode_batch(&batch).expect("encode_batch");
+            enc.regenerate(dims, &mut rng);
+            let what = format!("case {case}, regeneration {round}");
+            check_encode_paths(&enc, &batch, &what);
+            let requested: Vec<usize> = dims.iter().copied().chain([0, 3, 3, d / 2]).collect();
+            enc.reencode_dims(&batch, &mut encoded, &requested)
+                .expect("reencode_dims");
+            let oracle = batch_oracle(&enc, &batch);
+            assert_bitwise(
+                encoded.as_slice(),
+                oracle.as_slice(),
+                &format!("{what}: reencode_dims"),
+            );
+        }
+        if let AnyRbfEncoder::Structured(e) = &enc {
+            assert!(
+                e.overlay_len() > d / 5,
+                "case {case}: overlay of {}",
+                e.overlay_len()
+            );
+        }
+        // DHD save/load rebuilds the encoder through `from_parts`.
+        let memory = QuantizedMatrix::quantize(
+            &Matrix::from_fn(2, d, |r, c| ((r + 2 * c) as f32).cos()),
+            BitWidth::B8,
+        );
+        let deployed = DeployedModel::from_parts(
+            enc.clone(),
+            EncodingCenter::from_means(vec![0.0; d]),
+            memory,
+        );
+        let mut bytes = Vec::new();
+        save_deployed(&deployed, &mut bytes).expect("save");
+        let loaded = load_deployed(bytes.as_slice()).expect("load");
+        check_encode_paths(
+            loaded.encoder_parts(),
+            &batch,
+            &format!("case {case}, reloaded"),
+        );
     }
 }
