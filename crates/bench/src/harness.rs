@@ -47,9 +47,9 @@ impl ModelKind {
 }
 
 fn fmt_dim(dim: usize) -> String {
-    if dim % 1000 == 0 {
+    if dim.is_multiple_of(1000) {
         format!("{}k", dim / 1000)
-    } else if dim % 100 == 0 {
+    } else if dim.is_multiple_of(100) {
         format!("{:.1}k", dim as f64 / 1000.0)
     } else {
         dim.to_string()

@@ -19,7 +19,7 @@
 //! once into the GEMM's packed-panel layout — a derived operand, like the
 //! code norms, rebuilt by every constructor and refreshed in place by
 //! hot-swap and fault injection.  Every f32 scorer, at every row count
-//! from a single query up, runs the full 4×16 register-tiled similarity
+//! from a single query up, runs the full register-tiled GEMM
 //! micro-kernel against that panel
 //! ([`disthd_hd::quantized_similarity_prepacked`]), whose per-element
 //! accumulation order is exactly that of the scalar oracle

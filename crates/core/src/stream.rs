@@ -320,7 +320,8 @@ impl DistHd {
             .take()
             .unwrap_or_else(|| StreamState::new(self.config.seed));
         let mut regenerated_dims = 0usize;
-        if cfg.regen_every > 0 && state.batches > 0 && state.batches % cfg.regen_every == 0 {
+        if cfg.regen_every > 0 && state.batches > 0 && state.batches.is_multiple_of(cfg.regen_every)
+        {
             regenerated_dims = self.regenerate_from_window(&mut state)?;
         }
 

@@ -498,6 +498,31 @@ mod tests {
     }
 
     #[test]
+    fn single_queries_equal_their_batch_rows_on_a_dense_model() {
+        // The dense single-row encode is a one-row GEMM, so `predict_one`
+        // and `decision_scores` see bit for bit the encoded row that the
+        // batched `predict` and `encode_dataset` compute.
+        let data = small_data();
+        let mut cfg = config();
+        cfg.encoder_backend = disthd_hd::encoder::EncoderBackend::Dense;
+        let mut model = DistHd::new(cfg, data.train.feature_dim(), data.train.class_count());
+        model.fit(&data.train, None).unwrap();
+        let batch = model.predict(&data.test).unwrap();
+        let encoded = model.encode_dataset(&data.test).unwrap();
+        let mut classes = model.class_model().unwrap().clone();
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        for (i, &class) in batch.iter().enumerate() {
+            let x = data.test.sample(i);
+            assert_eq!(model.predict_one(x).unwrap(), class, "sample {i}");
+            assert_eq!(
+                bits(model.decision_scores(x).unwrap()),
+                bits(classes.similarities(encoded.row(i)).unwrap()),
+                "sample {i}"
+            );
+        }
+    }
+
+    #[test]
     fn incompatible_dataset_rejected() {
         let data = small_data();
         let mut model = DistHd::new(config(), 7, 3);

@@ -162,7 +162,7 @@ impl DriftStream {
                 (((index - self.drift_at) as f64 + 1.0) / width as f64).min(1.0)
             }
             DriftKind::Recurring { period } => {
-                if ((index - self.drift_at) / period) % 2 == 0 {
+                if ((index - self.drift_at) / period).is_multiple_of(2) {
                     1.0
                 } else {
                     0.0

@@ -301,22 +301,10 @@ impl Encoder for RbfEncoder {
                 (self.input_dim, self.output_dim),
             ));
         }
-        // projections[i] = B_i · F  — one pass over the base matrix rows,
-        // each read as its packed 16-column segments.
-        let mut projections = vec![0.0f32; self.output_dim];
-        for (k, &f) in features.iter().enumerate() {
-            if f == 0.0 {
-                continue;
-            }
-            let mut c0 = 0;
-            for segment in self.bases.row_segments(k) {
-                let out = &mut projections[c0..c0 + segment.len()];
-                disthd_linalg::axpy(f, segment, out);
-                c0 += segment.len();
-            }
-        }
-        self.apply_nonlinearity(&mut projections);
-        Ok(projections)
+        // A one-row batch: the same GEMM chain as every `encode_batch`
+        // row, so single and batched queries encode bit for bit alike.
+        let query = Matrix::from_vec(1, self.input_dim, features.to_vec())?;
+        Ok(self.encode_batch(&query)?.into_vec())
     }
 
     fn encode_batch(&self, batch: &Matrix) -> Result<Matrix, ShapeError> {
@@ -392,10 +380,7 @@ mod tests {
         let batch = Matrix::from_rows(&rows).unwrap();
         let encoded = enc.encode_batch(&batch).unwrap();
         for (r, row) in rows.iter().enumerate() {
-            let single = enc.encode(row).unwrap();
-            for (a, b) in encoded.row(r).iter().zip(single.iter()) {
-                assert!((a - b).abs() < 1e-4, "batch {a} vs single {b}");
-            }
+            assert_eq!(enc.encode(row).unwrap(), encoded.row(r), "row {r}");
         }
     }
 
@@ -479,8 +464,7 @@ mod tests {
         // already replaced.  The packed bases must hold exactly what the
         // row-major layout would (same draw order: n Gaussians per column,
         // then its phase), batch encode must equal the per-call-packing
-        // GEMM bit for bit, and single-row encode must equal the row-major
-        // axpy over the unpacked bases bit for bit.
+        // GEMM bit for bit, and single-row encode must equal its batch row.
         let mut enc = RbfEncoder::new(6, 37, RngSeed(4));
         let mut dense = enc.bases().to_matrix();
         let mut phases = enc.phases().to_vec();
@@ -516,14 +500,11 @@ mod tests {
             expected.as_slice()
         );
         for r in 0..batch.rows() {
-            let mut projections = vec![0.0f32; 37];
-            for (k, &f) in batch.row(r).iter().enumerate() {
-                if f != 0.0 {
-                    disthd_linalg::axpy(f, dense.row(k), &mut projections);
-                }
-            }
-            enc.apply_nonlinearity(&mut projections);
-            assert_eq!(enc.encode(batch.row(r)).unwrap(), projections, "row {r}");
+            assert_eq!(
+                enc.encode(batch.row(r)).unwrap(),
+                expected.row(r),
+                "row {r}"
+            );
         }
     }
 

@@ -120,7 +120,7 @@ struct BlockSpec {
 /// overlay: it gets a fresh private Gaussian base vector (exactly a dense
 /// [`super::RbfEncoder`] column), stored as one row of a patch matrix.
 /// Encoding computes the structured pass for every dimension, then the
-/// overlay's raw projections via the existing 4×16 GEMM
+/// overlay's raw projections via the existing packed GEMM
 /// ([`Matrix::matmul_rows_into`] against the overlay, held packed), runs
 /// one [`disthd_linalg::half_angle_row`] over each row of them with the
 /// overlay dims' phases in overlay order, and scatters the results into

@@ -418,7 +418,7 @@ impl QuantizedMatrix {
     /// without an f32 class *snapshot*: the packed words remain the single
     /// source of truth (faults and hot-swaps mutate them, and this repack
     /// rereads them), while the panel is a derived, in-place-refreshed
-    /// operand that lets the scoring GEMM run the full 4×16 register-tiled
+    /// operand that lets the scoring GEMM run its full register-tiled
     /// micro-kernel.  Refreshing overwrites every logical slot, so a panel
     /// can be reused across swaps without reallocation; padded lanes stay
     /// zero.
@@ -524,9 +524,9 @@ impl QuantizedMatrix {
         let start = r * self.cols * self.width.bits();
         let words = &self.words[start / 64..];
         match self.width {
-            BitWidth::B2 if start % 64 == 0 => decode_words::<2>(words, out),
-            BitWidth::B4 if start % 64 == 0 => decode_words::<4>(words, out),
-            BitWidth::B8 if start % 64 == 0 => decode_words::<8>(words, out),
+            BitWidth::B2 if start.is_multiple_of(64) => decode_words::<2>(words, out),
+            BitWidth::B4 if start.is_multiple_of(64) => decode_words::<4>(words, out),
+            BitWidth::B8 if start.is_multiple_of(64) => decode_words::<8>(words, out),
             _ => self.for_each_row_value(r, |c, v| out[c] = v as i16),
         }
     }

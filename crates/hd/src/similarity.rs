@@ -151,7 +151,7 @@ pub fn quantized_similarity_to_all(
 /// ([`QuantizedMatrix::pack_codes_into`] into a
 /// `PackedRhs::new(dim, classes)` panel).
 ///
-/// The batch runs through the full 4×16 register-tiled GEMM micro-kernel
+/// The batch runs through the full register-tiled GEMM micro-kernel
 /// ([`Matrix::matmul_prepacked_map`]) with the per-class `inv_norms`
 /// scaling fused into the store epilogue.  Per `(sample, class)` the
 /// accumulation is the GEMM's single ascending chain — exactly what

@@ -28,7 +28,7 @@
 #![allow(unsafe_code)]
 
 #[cfg(target_arch = "x86_64")]
-use crate::matrix::{kernel_tier, KernelTier};
+use crate::matrix::kernel_tier;
 
 /// Writes the 1-bit sign code of every value: `codes[j] = (values[j] ≥ 0)`.
 ///
@@ -75,9 +75,9 @@ pub fn symmetric_codes(values: &[f32], scale: f32, qmax: i32, codes: &mut [u8]) 
     assert_eq!(values.len(), codes.len(), "code buffer length mismatch");
     assert!((1..=127).contains(&qmax), "qmax out of byte range");
     #[cfg(target_arch = "x86_64")]
-    if kernel_tier() == KernelTier::Avx2 {
-        // SAFETY: the Avx2 tier is only constructed after runtime AVX2
-        // detection (see `kernel_tier`).
+    if kernel_tier().has_avx2() {
+        // SAFETY: the Avx2 and Avx512 tiers are only constructed after
+        // runtime AVX2 detection (see `kernel_tier`).
         unsafe { symmetric_codes_avx2(values, scale, qmax, codes) };
         return;
     }

@@ -3,17 +3,29 @@ use crate::parallel;
 use crate::vector;
 use std::sync::OnceLock;
 
-/// Register-block height of the GEMM micro-kernel: four output rows share
-/// one streamed pass over each `rhs` cache line, quartering the memory
-/// traffic of the scalar loop.
+/// Register-block height of the portable, FMA and AVX2 micro-kernels:
+/// four output rows share one streamed pass over each `rhs` cache line,
+/// quartering the memory traffic of the scalar loop.
 const GEMM_MR: usize = 4;
 
-/// Register-block width of the GEMM micro-kernel: 16 f32 = one 64-byte
-/// cache line of `rhs`, so the 4 × 16 accumulator tile (8 vector registers
-/// at AVX2 width) lives entirely in registers across the whole
+/// Register-block width of one packed panel: 16 f32 = one 64-byte cache
+/// line of `rhs`, so the 4 × 16 accumulator tile (8 vector registers at
+/// AVX2 width) lives entirely in registers across the whole
 /// inner-dimension sweep — no accumulator loads or stores inside the hot
-/// loop.
+/// loop.  At AVX-512 width one panel line is one register.
 const GEMM_NW: usize = 16;
+
+/// Register-block height of the AVX-512 body tile: 8 rows × 2 panels is
+/// 16 zmm accumulators, half of the 32-register file, leaving room for
+/// the two panel loads and the row broadcasts.
+#[cfg(target_arch = "x86_64")]
+const AVX512_MR: usize = 8;
+
+/// Panels one single-row AVX-512 tile sweeps at once: eight independent
+/// fused chains cover the FMA latency of both ports, where a one-row
+/// two-panel tile would wait on it.
+#[cfg(target_arch = "x86_64")]
+const AVX512_ROW_PANELS: usize = 8;
 
 /// Rows of the output each parallel work unit owns.  Fixed (never derived
 /// from the worker count) so chunk boundaries — and therefore accumulation
@@ -300,10 +312,10 @@ impl Matrix {
     ///
     /// The kernel packs `rhs` into 16-column tile-major panels, then
     /// processes the output in fixed 8-row chunks (fanned out over the
-    /// [`crate::parallel`] worker pool) with a 4×16 register-tiled inner
-    /// loop whose arithmetic tier is resolved once per process (portable
-    /// mul-then-add, autovectorized `mul_add`, or explicit AVX2+FMA under
-    /// runtime detection — see `KernelTier`).  Accumulation order per
+    /// [`crate::parallel`] worker pool) with a register-tiled inner loop
+    /// whose tier is resolved once per process (portable mul-then-add,
+    /// autovectorized `mul_add`, or explicit AVX2+FMA or AVX-512 tiles
+    /// under runtime detection — see `KernelTier`).  Accumulation order per
     /// element is ascending over the inner dimension regardless of
     /// blocking, tier or thread count, so results are **bit-identical**
     /// on 1 or N threads.  FMA-capable machines fuse each multiply-add
@@ -776,22 +788,6 @@ impl PackedRhs {
         self.data[(col / GEMM_NW * self.inner + k) * GEMM_NW + col % GEMM_NW]
     }
 
-    /// Row `k` of the logical right-hand matrix as contiguous segments of
-    /// at most 16 columns, left to right — concatenated they are
-    /// `B[k][0..cols()]` (padded lanes excluded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= inner()`.
-    pub fn row_segments(&self, k: usize) -> impl Iterator<Item = &[f32]> + '_ {
-        assert!(k < self.inner, "row index out of bounds");
-        let tile_len = self.inner * GEMM_NW;
-        (0..self.cols.div_ceil(GEMM_NW)).map(move |tile| {
-            let start = tile * tile_len + k * GEMM_NW;
-            &self.data[start..start + (self.cols - tile * GEMM_NW).min(GEMM_NW)]
-        })
-    }
-
     /// Unpacks the panel back into the dense row-major matrix it holds —
     /// the inverse of [`PackedRhs::pack`].
     pub fn to_matrix(&self) -> Matrix {
@@ -823,8 +819,9 @@ fn gemm_runs_serial(rows: usize, inner: usize, b_cols: usize) -> bool {
 
 /// Dot product in exactly the GEMM micro-kernel's **per-element
 /// accumulation order**: one ascending chain over the inner dimension,
-/// fused multiply-adds on the FMA/AVX2 tiers, mul-then-add on the portable
-/// tier (resolved from the same runtime detection as the GEMM).
+/// fused multiply-adds on the FMA, AVX2 and AVX-512 tiers, mul-then-add on
+/// the portable tier (resolved from the same runtime detection as the
+/// GEMM).
 ///
 /// A caller that scores one query against one stored row reproduces — bit
 /// for bit — the value [`Matrix::matmul_prepacked_map`] computes for that
@@ -860,13 +857,14 @@ pub fn dot_gemm_order(a: &[f32], b: &[f32]) -> f32 {
 /// (`codepack::symmetric_codes`) also reads.
 ///
 /// All tiers share the identical per-element accumulation *order* (a single
-/// ascending chain over the inner dimension), so every tier is bit-identical
-/// at any thread count.  The `Fma` and `Avx2` tiers additionally share
-/// identical *rounding* — both fuse each multiply-add into one rounding via
-/// `f32::mul_add` semantics — so runtime AVX2 detection never changes
-/// results on a given machine.  Only `Portable` (two roundings per
-/// multiply-add, exactly the scalar reference) differs numerically, which
-/// is why it stays the baseline for bitwise parity tests.
+/// ascending chain over the inner dimension, starting from `0.0`), so every
+/// tier is bit-identical at any thread count.  The `Fma`, `Avx2` and
+/// `Avx512` tiers additionally share identical *rounding* — each fuses
+/// every multiply-add into one rounding via `f32::mul_add` semantics — so
+/// runtime AVX2 or AVX-512 detection never changes results on a given
+/// machine; only the tile shapes differ.  Only `Portable` (two roundings
+/// per multiply-add, exactly the scalar reference) differs numerically,
+/// which is why it stays the baseline for bitwise parity tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum KernelTier {
     /// The original mul-then-add tile loop: bit-identical to
@@ -881,16 +879,31 @@ pub(crate) enum KernelTier {
     /// selected by runtime feature detection on x86_64.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// Hand-written `std::arch` AVX-512F tiles (up to 16 × 512-bit
+    /// accumulators, see `Avx512Block`), selected when the CPU has
+    /// AVX-512F as well as AVX2 and FMA, so every AVX2 kernel of the crate
+    /// also runs on this tier.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl KernelTier {
+    /// Whether the CPU was detected to run AVX2+FMA code (true on the
+    /// AVX-512 tier too, which requires both).
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn has_avx2(self) -> bool {
+        matches!(self, KernelTier::Avx2 | KernelTier::Avx512)
+    }
 }
 
 /// Resolves the micro-kernel tier once per process.  This is the only
 /// runtime CPU-feature check in the crate.
 ///
-/// x86_64 with runtime AVX2+FMA gets the `std::arch` kernel; targets whose
-/// build enables hardware FMA (e.g. `target-cpu=native` on any modern
-/// x86_64, or aarch64) get the `mul_add` kernel; everything else keeps the
-/// portable mul-then-add kernel, whose results match `matmul_reference` bit
-/// for bit.
+/// x86_64 with runtime AVX-512F, AVX2 and FMA gets the AVX-512 tiles, and
+/// with AVX2+FMA alone the AVX2 tile; targets whose build enables hardware
+/// FMA (e.g. `target-cpu=native` on any modern x86_64, or aarch64) get the
+/// `mul_add` kernel; everything else keeps the portable mul-then-add
+/// kernel, whose results match `matmul_reference` bit for bit.
 pub(crate) fn kernel_tier() -> KernelTier {
     static TIER: OnceLock<KernelTier> = OnceLock::new();
     *TIER.get_or_init(|| {
@@ -899,6 +912,9 @@ pub(crate) fn kernel_tier() -> KernelTier {
             if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return KernelTier::Avx512;
+                }
                 return KernelTier::Avx2;
             }
         }
@@ -1049,11 +1065,11 @@ fn tile4(tier: KernelTier, a: [&[f32]; GEMM_MR], panel: &[f32]) -> [[f32; GEMM_N
     match tier {
         KernelTier::Portable => tile4_portable(a, panel),
         KernelTier::Fma => tile4_fma(a, panel),
-        // SAFETY: the Avx2 tier is only ever constructed after runtime
-        // AVX2+FMA detection (see `kernel_tier`), and the panel invariant
-        // is maintained by `gemm_row_block`.
+        // SAFETY: the Avx2 and Avx512 tiers are only ever constructed
+        // after runtime AVX2+FMA detection (see `kernel_tier`), and the
+        // panel invariant is maintained by `gemm_row_block`.
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { tile4_avx2(a, panel) },
+        KernelTier::Avx2 | KernelTier::Avx512 => unsafe { tile4_avx2(a, panel) },
     }
 }
 
@@ -1067,7 +1083,7 @@ fn tile1(tier: KernelTier, a: &[f32], panel: &[f32]) -> [f32; GEMM_NW] {
         // SAFETY: as in `tile4` — tier construction implies runtime
         // detection passed.
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { tile1_avx2(a, panel) },
+        KernelTier::Avx2 | KernelTier::Avx512 => unsafe { tile1_avx2(a, panel) },
     }
 }
 
@@ -1087,7 +1103,8 @@ fn tile1(tier: KernelTier, a: &[f32], panel: &[f32]) -> [f32; GEMM_NW] {
 /// [`KernelTier`]); within any tier, accumulation over `k` is a single
 /// ascending chain per element, the same order at every tile position,
 /// remainder path and thread count, which pins the floating-point result
-/// bit-for-bit.
+/// bit-for-bit.  The AVX-512 tier runs its own tile shapes
+/// (`Avx512Block`) under the same contract.
 fn gemm_row_block<F: Fn(usize, f32) -> f32>(
     tier: KernelTier,
     a_block: &[f32],
@@ -1098,6 +1115,18 @@ fn gemm_row_block<F: Fn(usize, f32) -> f32>(
     epilogue: &F,
 ) {
     if b_cols == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier == KernelTier::Avx512 {
+        let block = Avx512Block {
+            a_block,
+            inner,
+            packed,
+            b_cols,
+            epilogue,
+        };
+        block.run(out);
         return;
     }
     let block_rows = out.len() / b_cols;
@@ -1149,6 +1178,155 @@ fn gemm_row_block<F: Fn(usize, f32) -> f32>(
             r += 1;
         }
     }
+}
+
+/// One `gemm_row_block` call on the AVX-512 tier: the operands of an
+/// output block, which [`Avx512Block::run`] covers with
+///
+/// - 8-row × 2-panel tiles (16 zmm accumulators) for the body,
+/// - 4-row × 2-panel tiles for a 4–7-row remainder,
+/// - 1-row × 8-panel tiles for the last 1–3 rows, which sweep the whole
+///   packed slab rather than one column group (a one-row product has no
+///   panel reuse to block for, and eight panels keep both FMA ports busy),
+/// - narrower tiles for panel tails: one panel after the pairs, and 4, 2
+///   or 1 panels after a single row's groups of eight.
+///
+/// Every tile runs one ascending-`k` fused chain from `0.0` per element,
+/// so the output is bit-identical to the `Fma` and `Avx2` tiers.
+#[cfg(target_arch = "x86_64")]
+struct Avx512Block<'a, F> {
+    /// The `block_rows × inner` left operand.
+    a_block: &'a [f32],
+    inner: usize,
+    /// Every packed panel of the right operand.
+    packed: &'a [f32],
+    b_cols: usize,
+    epilogue: &'a F,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<F: Fn(usize, f32) -> f32> Avx512Block<'_, F> {
+    /// Computes every row of the block into `out` (`block_rows × b_cols`).
+    fn run(&self, out: &mut [f32]) {
+        let block_rows = out.len() / self.b_cols;
+        let panel_bytes = self.inner * GEMM_NW * std::mem::size_of::<f32>();
+        let panels = self.b_cols.div_ceil(GEMM_NW);
+        // Column groups as in `gemm_row_block`, rounded down to whole panel
+        // pairs so the 2-panel tiles never straddle a group edge.
+        let group_panels = ((GEMM_GROUP_BYTES / panel_bytes) & !1).max(2);
+        let tall_rows = block_rows - block_rows % GEMM_MR;
+        for p0 in (0..panels).step_by(group_panels) {
+            let p1 = (p0 + group_panels).min(panels);
+            let mut r = 0;
+            while r + AVX512_MR <= tall_rows {
+                self.panel_range::<AVX512_MR>(out, r, p0, p1);
+                r += AVX512_MR;
+            }
+            if r < tall_rows {
+                self.panel_range::<GEMM_MR>(out, r, p0, p1);
+            }
+        }
+        for r in tall_rows..block_rows {
+            let mut p = 0;
+            while p < panels {
+                p += match panels - p {
+                    left if left >= AVX512_ROW_PANELS => {
+                        self.tile::<1, AVX512_ROW_PANELS>(out, r, p)
+                    }
+                    left if left >= 4 => self.tile::<1, 4>(out, r, p),
+                    left if left >= 2 => self.tile::<1, 2>(out, r, p),
+                    _ => self.tile::<1, 1>(out, r, p),
+                };
+            }
+        }
+    }
+
+    /// `MR` rows starting at `r` over panels `p0..p1`, two at a time.
+    fn panel_range<const MR: usize>(&self, out: &mut [f32], r: usize, p0: usize, p1: usize) {
+        let mut p = p0;
+        while p + 2 <= p1 {
+            p += self.tile::<MR, 2>(out, r, p);
+        }
+        if p < p1 {
+            self.tile::<MR, 1>(out, r, p);
+        }
+    }
+
+    /// Computes the `MR × NP`-panel tile at row `r`, panel `p`, stores it
+    /// through the epilogue, and returns `NP`.
+    #[allow(unsafe_code)]
+    fn tile<const MR: usize, const NP: usize>(&self, out: &mut [f32], r: usize, p: usize) -> usize {
+        let inner = self.inner;
+        let panel_len = inner * GEMM_NW;
+        let a = &self.a_block[r * inner..(r + MR) * inner];
+        let panels = &self.packed[p * panel_len..(p + NP) * panel_len];
+        // SAFETY: this block only runs on the Avx512 tier, which
+        // `kernel_tier` constructs after runtime AVX-512F detection; the
+        // slices above hold exactly `MR` rows and `NP` panels of `inner`
+        // steps, the extents `tile_avx512` reads.
+        let c = unsafe { tile_avx512::<MR, NP>(a, panels, inner) };
+        for (m, row) in c.iter().enumerate() {
+            for (q, lane) in row.iter().enumerate() {
+                let col0 = (p + q) * GEMM_NW;
+                let width = (self.b_cols - col0).min(GEMM_NW);
+                let start = (r + m) * self.b_cols + col0;
+                for (j, &v) in lane[..width].iter().enumerate() {
+                    out[start + j] = (self.epilogue)(col0 + j, v);
+                }
+            }
+        }
+        NP
+    }
+}
+
+/// `MR`-row × `NP`-panel accumulator tile in AVX-512F intrinsics: `MR ·
+/// NP` 512-bit accumulators, one per (row, panel) line, live in registers
+/// across the whole inner-dimension sweep; per `k` step `NP` panel loads
+/// and `MR` broadcasts feed `MR · NP` `vfmadd231ps`.
+///
+/// Each output lane accumulates `fma(a[m][k], b[k][j], acc)` in ascending
+/// `k` from `0.0` — the operation sequence of [`tile4_fma`] and
+/// [`tile4_avx2`], hence bit-identical results (asserted by a parity test).
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512F support at runtime (see
+/// [`kernel_tier`]).  `a.len()` must be at least `MR * inner` (row `m` at
+/// `a[m * inner..]`) and `panels.len()` at least `NP * inner * GEMM_NW`
+/// (panel `q` at `panels[q * inner * GEMM_NW..]`).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const MR: usize, const NP: usize>(
+    a: &[f32],
+    panels: &[f32],
+    inner: usize,
+) -> [[[f32; GEMM_NW]; NP]; MR] {
+    use std::arch::x86_64::*;
+    debug_assert!(a.len() >= MR * inner && panels.len() >= NP * inner * GEMM_NW);
+    let panel_len = inner * GEMM_NW;
+    let a = a.as_ptr();
+    let b = panels.as_ptr();
+    let mut acc = [[_mm512_setzero_ps(); NP]; MR];
+    for k in 0..inner {
+        let mut lines = [_mm512_setzero_ps(); NP];
+        for (q, line) in lines.iter_mut().enumerate() {
+            *line = _mm512_loadu_ps(b.add(q * panel_len + k * GEMM_NW));
+        }
+        for (m, row) in acc.iter_mut().enumerate() {
+            let am = _mm512_set1_ps(*a.add(m * inner + k));
+            for (slot, &line) in row.iter_mut().zip(&lines) {
+                *slot = _mm512_fmadd_ps(am, line, *slot);
+            }
+        }
+    }
+    let mut c = [[[0.0f32; GEMM_NW]; NP]; MR];
+    for (c_row, acc_row) in c.iter_mut().zip(&acc) {
+        for (lane, &v) in c_row.iter_mut().zip(acc_row) {
+            _mm512_storeu_ps(lane.as_mut_ptr(), v);
+        }
+    }
+    c
 }
 
 impl Default for Matrix {
@@ -1326,6 +1504,11 @@ mod tests {
     /// Shapes that straddle every blocking boundary: rows % 4, cols % 16,
     /// single row/column, the 8-row parallel chunk edge, and ragged row
     /// blocks (5/6/7/9 rows leave 1–3-row tails after the 4-row tile).
+    /// For the AVX-512 tiles: 8/16 rows of 8-row tiles, 12/15/17 rows
+    /// that add a 4-row tile and single rows, one row over 10 panels
+    /// (a full 8-panel tile, then 2), odd panel counts (3 and 7), and an
+    /// inner dimension of 4100, where one panel outgrows the 256 KiB
+    /// column group and the group rounds up to a pair.
     const PARITY_SHAPES: &[(usize, usize, usize)] = &[
         (1, 1, 1),
         (3, 5, 7),
@@ -1336,6 +1519,13 @@ mod tests {
         (9, 17, 513),
         (4, 600, 530),
         (33, 7, 1030),
+        (8, 30, 48),
+        (12, 21, 100),
+        (15, 9, 70),
+        (16, 13, 145),
+        (17, 25, 200),
+        (1, 50, 145),
+        (13, 4100, 40),
     ];
 
     #[test]
@@ -1407,6 +1597,59 @@ mod tests {
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_and_avx2_tiers_agree_bitwise() {
+        // The AVX-512 tiles run the same fused ascending-k chain per
+        // element as the AVX2 and FMA tiles, in other tile shapes, so the
+        // three agree bit for bit — through the per-call-packing product
+        // and through the public prepacked and row-range entry points,
+        // which run the AVX-512 tier whenever it is detected.
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            eprintln!("avx512_and_avx2_tiers_agree_bitwise: no avx512f on this CPU, skipped");
+            return;
+        }
+        assert_eq!(kernel_tier(), KernelTier::Avx512);
+        for &(m, k, n) in PARITY_SHAPES {
+            let a = dense_random(m, k, 0x70 + m as u64);
+            let b = dense_random(k, n, 0x80 + n as u64);
+            let at = format!("shape ({m},{k},{n})");
+            let avx2 = a.matmul_map_tier(&b, |_, x| x, KernelTier::Avx2).unwrap();
+            let fma = a.matmul_map_tier(&b, |_, x| x, KernelTier::Fma).unwrap();
+            assert_eq!(fma, avx2, "{at}: Fma");
+            let packed = PackedRhs::pack(&b);
+            for threads in [1usize, 4] {
+                let (avx512, prepacked) = crate::parallel::with_thread_count(threads, || {
+                    (
+                        a.matmul_map_tier(&b, |_, x| x, KernelTier::Avx512).unwrap(),
+                        a.matmul_prepacked_map(&packed, |_, x| x).unwrap(),
+                    )
+                });
+                assert_eq!(avx512, avx2, "{at}: Avx512, {threads} threads");
+                assert_eq!(prepacked, avx2, "{at}: prepacked, {threads} threads");
+            }
+            // Row ranges of 1, 3, 5 and 9 rows start the tiles at every
+            // row offset a caller's partition can give them.
+            for step in [1usize, 3, 5, 9] {
+                let mut rows = vec![0.0f32; m * n];
+                for (chunk, out) in rows.chunks_mut(step * n).enumerate() {
+                    a.matmul_rows_into(&packed, chunk * step, out).unwrap();
+                }
+                assert_eq!(rows, avx2.as_slice(), "{at}: rows_into by {step}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn detected_avx2_keeps_the_avx2_kernels_on_every_tier() {
+        // `symmetric_codes` runs its AVX2 kernel when `has_avx2` holds; on
+        // an AVX-512 CPU it must not fall back to the scalar loop.
+        let avx2 = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        assert_eq!(kernel_tier().has_avx2(), avx2);
+    }
+
     /// Packs `rhs` into a fresh panel through the public slot API.
     fn pack_rhs(rhs: &Matrix) -> PackedRhs {
         let mut packed = PackedRhs::new(rhs.rows(), rhs.cols());
@@ -1442,8 +1685,6 @@ mod tests {
             let packed = PackedRhs::pack(&b);
             assert_eq!(packed.to_matrix(), b, "shape ({k},{n})");
             for r in 0..k {
-                let row: Vec<f32> = packed.row_segments(r).flatten().copied().collect();
-                assert_eq!(row, b.row(r), "shape ({k},{n}), row {r}");
                 for c in 0..n {
                     assert_eq!(packed.get(r, c), b.get(r, c));
                 }

@@ -370,24 +370,6 @@ fn dense_oracle(enc: &RbfEncoder, x: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// Oracle of the dense single-row `encode`, which accumulates in the
-/// row-major axpy order instead: ascending features, zeros skipped, one
-/// multiply then one add per term.
-fn dense_single_row_oracle(enc: &RbfEncoder, x: &[f32]) -> Vec<f32> {
-    let bases = enc.bases().to_matrix();
-    let mut projections = vec![0.0f32; enc.output_dim()];
-    for (k, &feature) in x.iter().enumerate().filter(|(_, &v)| v != 0.0) {
-        for (p, &b) in projections.iter_mut().zip(bases.row(k)) {
-            *p += feature * b;
-        }
-    }
-    projections
-        .iter()
-        .zip(enc.phases())
-        .map(|(&p, &phase)| oracle_epilogue(p, phase))
-        .collect()
-}
-
 /// The oracle of every batch path, one row per sample.
 fn batch_oracle(enc: &AnyRbfEncoder, batch: &Matrix) -> Matrix {
     let rows: Vec<Vec<f32>> = (0..batch.rows())
@@ -438,12 +420,8 @@ fn check_encode_paths(enc: &AnyRbfEncoder, batch: &Matrix, what: &str) {
         assert_bitwise(quantized.scales(), reference.scales(), &at);
     }
     for r in 0..batch.rows() {
-        let want = match enc {
-            AnyRbfEncoder::Dense(e) => dense_single_row_oracle(e, batch.row(r)),
-            AnyRbfEncoder::Structured(_) => oracle.row(r).to_vec(),
-        };
         let single = enc.encode(batch.row(r)).expect("encode");
-        assert_bitwise(&single, &want, &format!("{what}: encode, row {r}"));
+        assert_bitwise(&single, oracle.row(r), &format!("{what}: encode, row {r}"));
     }
 }
 
@@ -451,8 +429,9 @@ fn check_encode_paths(enc: &AnyRbfEncoder, batch: &Matrix, what: &str) {
 /// scalar oracle: half-block and full-pad structured shapes with ragged
 /// last blocks, about 20 % scattered overlay dims, a second regeneration
 /// that re-draws overlaid dims, `reencode_dims` after each regeneration,
-/// and a DHD save/load.  Batches are tall enough to fan out over the
-/// worker pool; CI runs this at `DISTHD_THREADS` 1 and 4.
+/// and a DHD save/load.  The 48-row batches are tall enough to fan out
+/// over the worker pool, and 8-, 9-, 12- and 17-row batches end in each
+/// GEMM row tile; CI runs this at `DISTHD_THREADS` 1 and 4.
 #[test]
 fn structured_and_dense_encode_paths_match_the_scalar_oracle() {
     // F = 40: half-block (32 lanes), D = 1000 ends in an 8-lane ragged
@@ -472,7 +451,17 @@ fn structured_and_dense_encode_paths_match_the_scalar_oracle() {
                 ((r * f + c) as f32 * 0.37).sin()
             }
         });
-        check_encode_paths(&enc, &batch, &format!("case {case}, fresh"));
+        // The full batch, then short ones whose heights end in every row
+        // tile of the GEMM kernels (8-row and 4-row tiles, single rows).
+        let check_heights = |enc: &AnyRbfEncoder, what: &str| {
+            check_encode_paths(enc, &batch, what);
+            for rows in [8usize, 9, 12, 17] {
+                let head: Vec<usize> = (0..rows).collect();
+                let at = format!("{what}, {rows} rows");
+                check_encode_paths(enc, &batch.select_rows(&head), &at);
+            }
+        };
+        check_heights(&enc, &format!("case {case}, fresh"));
         // About 20 % of the dims, scattered; then a second draw that
         // re-draws half of them and evicts a few more.
         let first: Vec<usize> = (0..d).filter(|i| (i * 2654435761) % 5 == 0).collect();
@@ -487,7 +476,7 @@ fn structured_and_dense_encode_paths_match_the_scalar_oracle() {
             let mut encoded = enc.encode_batch(&batch).expect("encode_batch");
             enc.regenerate(dims, &mut rng);
             let what = format!("case {case}, regeneration {round}");
-            check_encode_paths(&enc, &batch, &what);
+            check_heights(&enc, &what);
             let requested: Vec<usize> = dims.iter().copied().chain([0, 3, 3, d / 2]).collect();
             enc.reencode_dims(&batch, &mut encoded, &requested)
                 .expect("reencode_dims");
@@ -518,10 +507,6 @@ fn structured_and_dense_encode_paths_match_the_scalar_oracle() {
         let mut bytes = Vec::new();
         save_deployed(&deployed, &mut bytes).expect("save");
         let loaded = load_deployed(bytes.as_slice()).expect("load");
-        check_encode_paths(
-            loaded.encoder_parts(),
-            &batch,
-            &format!("case {case}, reloaded"),
-        );
+        check_heights(loaded.encoder_parts(), &format!("case {case}, reloaded"));
     }
 }
