@@ -86,9 +86,10 @@
 //! `DHD` + embedded version) yields a stream legacy readers load
 //! unchanged.  An unknown task kind fails closed ([`PersistError::
 //! Corrupt`], naming the field) rather than silently serving a
-//! misconfigured task.  See `DESIGN.md` §6/§8/§11/§13 for the full
-//! compatibility rules.  Every deserialization failure names the offending
-//! field.
+//! misconfigured task, and a non-finite float in any field is
+//! [`PersistError::Corrupt`] too.  See `DESIGN.md` §6/§8/§11/§13 for the
+//! full compatibility rules.  Every deserialization failure names the
+//! offending field.
 
 use crate::deploy::DeployedModel;
 use disthd_hd::center::EncodingCenter;
@@ -480,13 +481,7 @@ fn load_task_section<R: Read>(
                         "field `task kind`: duplicate anomaly task".into(),
                     ));
                 }
-                let threshold = read_f32(reader, "anomaly threshold task")?;
-                if !threshold.is_finite() {
-                    return Err(PersistError::Corrupt(format!(
-                        "field `anomaly threshold task`: {threshold} is not finite"
-                    )));
-                }
-                tasks.anomaly_threshold = Some(threshold);
+                tasks.anomaly_threshold = Some(read_f32(reader, "anomaly threshold task")?);
             }
             other => {
                 return Err(PersistError::Corrupt(format!(
@@ -657,10 +652,19 @@ fn read_u32<R: Read>(r: &mut R, field: &'static str) -> Result<u32, PersistError
     Ok(u32::from_le_bytes(buf))
 }
 
+/// Reads one f32 and rejects NaN and ±∞: no float the format stores is
+/// meaningful non-finite, and one NaN phase or scale would turn every score
+/// into NaN and every prediction into class 0.
 fn read_f32<R: Read>(r: &mut R, field: &'static str) -> Result<f32, PersistError> {
     let mut buf = [0u8; 4];
     read_field_bytes(r, &mut buf, field)?;
-    Ok(f32::from_le_bytes(buf))
+    let value = f32::from_le_bytes(buf);
+    if !value.is_finite() {
+        return Err(PersistError::Corrupt(format!(
+            "field `{field}`: {value} is not finite"
+        )));
+    }
+    Ok(value)
 }
 
 fn read_f32_vec<R: Read>(

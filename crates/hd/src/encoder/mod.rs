@@ -14,23 +14,11 @@
 //! * [`AnyRbfEncoder`] — runtime dispatch between the two RBF backends
 //!   (selected by [`EncoderBackend`]); what the trainer and deployments
 //!   actually hold.
-//! * [`LinearProjectionEncoder`] — plain random projection `H = B·F`,
-//!   the static encoder of classical HDC.
-//! * [`LevelIdEncoder`] — quantized level/ID binding encoder for
-//!   bipolar pipelines.
-//! * [`RecordEncoder`] — key–value record encoder with approximate
-//!   per-field readout.
 
-mod level;
-mod projection;
 mod rbf;
-mod record;
 mod structured;
 
-pub use level::LevelIdEncoder;
-pub use projection::LinearProjectionEncoder;
 pub use rbf::{RbfEncoder, DEFAULT_BANDWIDTH};
-pub use record::RecordEncoder;
 pub use structured::StructuredRbfEncoder;
 
 use disthd_linalg::{half_angle_row, parallel, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError};
@@ -138,23 +126,14 @@ pub trait Encoder {
     /// Returns [`ShapeError`] if `features.len() != input_dim()`.
     fn encode(&self, features: &[f32]) -> Result<Vec<f32>, ShapeError>;
 
-    /// Encodes a batch (one sample per row) into a batch of hypervectors.
-    ///
-    /// The default implementation encodes row by row; implementations with a
-    /// matrix kernel (like [`RbfEncoder`]) override it with a single GEMM,
-    /// which is the "highly parallel matrix-wise" path the paper highlights.
+    /// Encodes a batch (one sample per row) into a batch of hypervectors —
+    /// the "highly parallel matrix-wise" path the paper highlights: one GEMM
+    /// ([`RbfEncoder`]) or one blocked FHT pass ([`StructuredRbfEncoder`]).
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `batch.cols() != input_dim()`.
-    fn encode_batch(&self, batch: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut out = Matrix::zeros(batch.rows(), self.output_dim());
-        for r in 0..batch.rows() {
-            let encoded = self.encode(batch.row(r))?;
-            out.row_mut(r).copy_from_slice(&encoded);
-        }
-        Ok(out)
-    }
+    fn encode_batch(&self, batch: &Matrix) -> Result<Matrix, ShapeError>;
 }
 
 /// An [`Encoder`] whose individual output dimensions can be re-randomized.

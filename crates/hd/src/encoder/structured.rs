@@ -204,6 +204,37 @@ fn pack_overlay(overlay_rows: &Matrix) -> PackedRhs {
     panel
 }
 
+/// Whether `block_dim` selects the half-block construction for the shape
+/// (`Some(true)`), the full-pad one (`Some(false)`), or is not a valid plan
+/// parameter (`None`).
+fn plan_mode(input_dim: usize, output_dim: usize, block_dim: usize) -> Option<bool> {
+    if input_dim == 0 || output_dim == 0 {
+        return None;
+    }
+    let full = input_dim.next_power_of_two();
+    if block_dim == full {
+        Some(false)
+    } else if block_dim == full / 2 && half_block_eligible(input_dim) {
+        Some(true)
+    } else {
+        None
+    }
+}
+
+/// FHT length of a block with `remaining` live outputs: `block_dim`,
+/// except for a ragged last half-block, which takes the smallest power of
+/// two covering its outputs, floored so the transform still mixes.
+fn block_transform_dim(half_mode: bool, remaining: usize, block_dim: usize) -> usize {
+    if !half_mode || remaining >= block_dim {
+        block_dim
+    } else {
+        remaining
+            .next_power_of_two()
+            .max(MIN_RAGGED_TRANSFORM.min(block_dim))
+            .min(block_dim)
+    }
+}
+
 /// Builds the per-block shapes for `(input_dim, output_dim, block_dim)`,
 /// or `None` if `block_dim` is not a valid plan parameter for the shape.
 fn plan_blocks(
@@ -212,17 +243,7 @@ fn plan_blocks(
     base_std: f32,
     block_dim: usize,
 ) -> Option<Vec<BlockSpec>> {
-    if input_dim == 0 || output_dim == 0 {
-        return None;
-    }
-    let full = input_dim.next_power_of_two();
-    let half_mode = if block_dim == full {
-        false
-    } else if 2 * block_dim == full && half_block_eligible(input_dim) {
-        true
-    } else {
-        return None;
-    };
+    let half_mode = plan_mode(input_dim, output_dim, block_dim)?;
     let blocks = output_dim.div_ceil(block_dim);
     let mut specs = Vec::with_capacity(blocks);
     let mut sign_offset = 0;
@@ -230,16 +251,7 @@ fn plan_blocks(
         let out_start = b * block_dim;
         let remaining = output_dim - out_start;
         let (transform_dim, window_start, window_len) = if half_mode {
-            let td = if remaining >= block_dim {
-                block_dim
-            } else {
-                // Ragged last block: the smallest power of two covering
-                // the live outputs, floored so the transform still mixes.
-                remaining
-                    .next_power_of_two()
-                    .max(MIN_RAGGED_TRANSFORM.min(block_dim))
-                    .min(block_dim)
-            };
+            let td = block_transform_dim(true, remaining, block_dim);
             // Alternate window families so the two halves of the feature
             // range are both covered: even blocks read the head, odd
             // blocks the tail.
@@ -351,9 +363,17 @@ impl StructuredRbfEncoder {
     /// Total sign entries implied by a `(input_dim, output_dim,
     /// block_dim)` plan, or `None` if `block_dim` is not a valid plan
     /// parameter for the shape — the persistence layer's size check.
+    ///
+    /// Computed in closed form, without building the plan, because the
+    /// loader calls it on untrusted header values: every block but the
+    /// last transforms `block_dim` lanes.
     pub fn plan_sign_count(input_dim: usize, output_dim: usize, block_dim: usize) -> Option<usize> {
-        plan_blocks(input_dim, output_dim, 1.0, block_dim)
-            .map(|specs| specs.iter().map(|s| 3 * s.transform_dim).sum())
+        let half_mode = plan_mode(input_dim, output_dim, block_dim)?;
+        let full_blocks = output_dim.div_ceil(block_dim) - 1;
+        let last_remaining = output_dim - full_blocks * block_dim;
+        (full_blocks * block_dim)
+            .checked_add(block_transform_dim(half_mode, last_remaining, block_dim))?
+            .checked_mul(3)
     }
 
     /// Per-block transform length parameter (the per-block FHT size;
@@ -1296,6 +1316,29 @@ mod tests {
         // An ineligible half request (F = 7 pads to 8 with > 25% live) is
         // rejected.
         assert_eq!(StructuredRbfEncoder::plan_sign_count(7, 100, 4), None);
+    }
+
+    #[test]
+    fn closed_form_sign_count_matches_the_built_plan() {
+        for input_dim in [1usize, 3, 5, 6, 7, 12, 20, 100, 617] {
+            let full = input_dim.next_power_of_two();
+            for output_dim in [1usize, 2, 15, 16, 17, 100, 513, 4096] {
+                for block_dim in [full / 2, full, 2 * full] {
+                    let planned = plan_blocks(input_dim, output_dim, 1.0, block_dim)
+                        .map(|specs| specs.iter().map(|s| 3 * s.transform_dim).sum());
+                    assert_eq!(
+                        StructuredRbfEncoder::plan_sign_count(input_dim, output_dim, block_dim),
+                        planned,
+                        "F={input_dim} D={output_dim} block={block_dim}"
+                    );
+                }
+            }
+        }
+        // A forged header's plan size is answered without building it.
+        assert_eq!(
+            StructuredRbfEncoder::plan_sign_count(7, u32::MAX as usize, 8),
+            Some(3 * (u32::MAX as usize).div_ceil(8) * 8)
+        );
     }
 
     #[test]

@@ -2,14 +2,12 @@
 //!
 //! Hyperdimensional-computing substrate for the DistHD reproduction.
 //!
-//! This crate provides everything §III-A of the paper assumes as background:
+//! This crate provides the hyperdimensional pieces DistHD trains and serves:
 //!
-//! * [`Hypervector`] — dense real hypervectors with bundling/binding/permutation,
-//!   plus [`BipolarHypervector`] and bit-packed [`BinaryHypervector`] variants;
 //! * [`encoder`] — the RBF nonlinear encoder `h_i = cos(B_i·F + c_i)·sin(B_i·F)`
-//!   used by DistHD (§III-C), a plain linear projection, and a level–ID encoder,
-//!   all behind the [`encoder::Encoder`] trait, with per-dimension
-//!   **regeneration** support;
+//!   used by DistHD (§III-C), with a dense Gaussian and a structured
+//!   Walsh–Hadamard backend behind the [`encoder::Encoder`] trait, both with
+//!   per-dimension **regeneration** support;
 //! * [`ClassModel`] — the trained set of class hypervectors with normalized
 //!   cosine-similarity search (eq. 1) and top-k queries;
 //! * [`quantize`] — 1/2/4/8-bit model quantization for the Fig. 8 robustness
@@ -38,30 +36,19 @@
 
 #![deny(missing_docs)]
 
-mod bipolar;
-mod bitpacked;
 pub mod center;
 pub mod encoder;
-mod hypervector;
-mod item_memory;
 pub mod learn;
 mod model;
 pub mod noise;
-mod ops;
 pub mod quantize;
 mod similarity;
 
-pub use bipolar::BipolarHypervector;
-pub use bitpacked::BinaryHypervector;
-pub use hypervector::Hypervector;
-pub use item_memory::{ItemMemory, Recall};
 pub use model::{ClassModel, Prediction, TopK};
-pub use ops::{bind, bundle, permute, weighted_bundle};
 pub use similarity::{
-    cosine_similarity_matrix, exact_cosine_to_all, hamming_distance, hamming_distance_batch,
-    normalized_hamming_similarity, normalized_hamming_similarity_batch, packed_cosine_matrix,
-    packed_predict_batch, packed_similarity_to_all, quantized_similarity_prepacked,
-    quantized_similarity_to_all, similarity_to_all,
+    cosine_similarity_matrix, exact_cosine_to_all, packed_cosine_matrix, packed_predict_batch,
+    packed_similarity_to_all, quantized_similarity_prepacked, quantized_similarity_to_all,
+    similarity_to_all,
 };
 
 #[cfg(test)]

@@ -133,7 +133,7 @@ impl ClassModel {
         self.classes.rows()
     }
 
-    /// Hypervector dimensionality `D`.
+    /// Dimensionality `D` of the class hypervectors.
     pub fn dim(&self) -> usize {
         self.classes.cols()
     }

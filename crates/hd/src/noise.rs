@@ -2,9 +2,9 @@
 //!
 //! The paper's robustness study flips a percentage of random bits in the
 //! memory storing the model.  [`flip_random_bits`] applies exactly
-//! `round(rate * payload_bits)` distinct flips to a [`QuantizedMatrix`];
-//! [`flip_random_bits_f32`] does the same to raw `f32` buffers (used for the
-//! unquantized-DNN ablation).
+//! `round(rate * payload_bits)` distinct flips to a [`QuantizedMatrix`], the
+//! packed class memory that the Fig. 8 campaigns (`disthd_eval::robustness`)
+//! fault at every bit width.
 
 use crate::quantize::QuantizedMatrix;
 use disthd_linalg::SeededRng;
@@ -31,22 +31,6 @@ pub fn flip_random_bits(model: &mut QuantizedMatrix, rate: f64, rng: &mut Seeded
     let count = target_flip_count(total, rate);
     for idx in sample_distinct(total, count, rng) {
         model.flip_bit(idx);
-    }
-    count
-}
-
-/// Flips `round(rate * 32 * values.len())` distinct random bits across the
-/// IEEE-754 representations of `values`.
-///
-/// Returns the number of bits flipped.  NaN/Inf produced by a fault are kept
-/// as-is: that is what the hardware would feed the classifier.
-pub fn flip_random_bits_f32(values: &mut [f32], rate: f64, rng: &mut SeededRng) -> usize {
-    let total = values.len() * 32;
-    let count = target_flip_count(total, rate);
-    for idx in sample_distinct(total, count, rng) {
-        let word = idx / 32;
-        let bit = idx % 32;
-        values[word] = f32::from_bits(values[word].to_bits() ^ (1 << bit));
     }
     count
 }
@@ -132,15 +116,6 @@ mod tests {
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_ne!(x, y);
         }
-    }
-
-    #[test]
-    fn f32_flips_touch_expected_count() {
-        let mut values = vec![1.0f32; 100];
-        let mut rng = SeededRng::new(RngSeed(8));
-        let flipped = flip_random_bits_f32(&mut values, 0.01, &mut rng);
-        assert_eq!(flipped, 32);
-        assert!(values.iter().any(|&v| v != 1.0));
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! For real hypervectors the paper's cosine similarity against every class is
 //! computed as one matrix–vector product with *pre-normalized* class rows:
 //! `δ(H, C_l) ∝ H · N_l` where `N_l = C_l / ‖C_l‖` — the `‖H‖` factor is
-//! common to all classes and dropped.  For binary hypervectors similarity is
-//! Hamming distance over packed words.
+//! common to all classes and dropped.  Quantized memories are scored off
+//! their packed codes; 1-bit rows through XOR+popcount.
 
-use crate::bitpacked::BinaryHypervector;
 use crate::quantize::{BitWidth, QuantizedMatrix};
 use disthd_linalg::{dot, normalize_l2, Matrix, PackedRhs, ShapeError};
 
@@ -34,80 +33,6 @@ pub fn cosine_similarity_matrix(rows: &Matrix) -> Matrix {
         out.row_mut(r).copy_from_slice(&normalized);
     }
     out
-}
-
-/// Hamming distance between two packed binary hypervectors.
-///
-/// The popcount loop is unrolled four words at a time (256 bits per
-/// iteration) into independent accumulators, which breaks the add
-/// dependency chain and keeps the `popcnt` units saturated on long
-/// hypervectors.
-///
-/// # Panics
-///
-/// Panics if dimensions differ.
-pub fn hamming_distance(a: &BinaryHypervector, b: &BinaryHypervector) -> u64 {
-    assert_eq!(a.dim(), b.dim(), "hamming: dimension mismatch");
-    let wa = a.as_words();
-    let wb = b.as_words();
-    let mut acc = [0u64; 4];
-    let chunks = wa.len() / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        acc[0] += (wa[j] ^ wb[j]).count_ones() as u64;
-        acc[1] += (wa[j + 1] ^ wb[j + 1]).count_ones() as u64;
-        acc[2] += (wa[j + 2] ^ wb[j + 2]).count_ones() as u64;
-        acc[3] += (wa[j + 3] ^ wb[j + 3]).count_ones() as u64;
-    }
-    let mut tail = 0u64;
-    for j in chunks * 4..wa.len() {
-        tail += (wa[j] ^ wb[j]).count_ones() as u64;
-    }
-    acc[0] + acc[1] + acc[2] + acc[3] + tail
-}
-
-/// Hamming distance of one packed query against a batch of references —
-/// the packed-binary analogue of [`similarity_to_all`] for model-wide
-/// queries.  Each pair goes through the 4-word-unrolled
-/// [`hamming_distance`] kernel.
-///
-/// # Panics
-///
-/// Panics if any reference's dimension differs from the query's.
-pub fn hamming_distance_batch(query: &BinaryHypervector, refs: &[BinaryHypervector]) -> Vec<u64> {
-    refs.iter().map(|r| hamming_distance(query, r)).collect()
-}
-
-/// Normalized Hamming similarities (`1 − 2·hamming/D`) of one query against
-/// a batch of references, in `[-1, 1]`.
-///
-/// # Panics
-///
-/// Panics if any reference's dimension differs from the query's.
-pub fn normalized_hamming_similarity_batch(
-    query: &BinaryHypervector,
-    refs: &[BinaryHypervector],
-) -> Vec<f32> {
-    let dim = query.dim();
-    hamming_distance_batch(query, refs)
-        .into_iter()
-        .map(|h| {
-            if dim == 0 {
-                0.0
-            } else {
-                1.0 - 2.0 * h as f32 / dim as f32
-            }
-        })
-        .collect()
-}
-
-/// Similarity in `[-1, 1]` derived from Hamming distance:
-/// `1 - 2·hamming/D`, which equals the bipolar cosine.
-pub fn normalized_hamming_similarity(a: &BinaryHypervector, b: &BinaryHypervector) -> f32 {
-    if a.dim() == 0 {
-        return 0.0;
-    }
-    1.0 - 2.0 * hamming_distance(a, b) as f32 / a.dim() as f32
 }
 
 /// Similarity of an `f32` query against every row of a quantized class
@@ -430,45 +355,6 @@ mod tests {
         let rows = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0]]).unwrap();
         let normalized = cosine_similarity_matrix(&rows);
         assert_eq!(normalized.row(0), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn hamming_counts_differing_bits() {
-        let a = BinaryHypervector::from_bits([true, true, false, false]);
-        let b = BinaryHypervector::from_bits([true, false, true, false]);
-        assert_eq!(hamming_distance(&a, &b), 2);
-    }
-
-    #[test]
-    fn hamming_similarity_bounds() {
-        let a = BinaryHypervector::from_bits((0..64).map(|_| true));
-        let b = BinaryHypervector::from_bits((0..64).map(|_| false));
-        assert!((normalized_hamming_similarity(&a, &a) - 1.0).abs() < 1e-6);
-        assert!((normalized_hamming_similarity(&a, &b) + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn unrolled_hamming_matches_bitwise_count() {
-        // 300 bits -> 5 words: exercises both the 4-word unrolled body and
-        // the 1-word tail.
-        let a = BinaryHypervector::from_bits((0..300).map(|i| i % 3 == 0));
-        let b = BinaryHypervector::from_bits((0..300).map(|i| i % 5 == 0));
-        let expected = (0..300u32).filter(|i| (i % 3 == 0) != (i % 5 == 0)).count() as u64;
-        assert_eq!(hamming_distance(&a, &b), expected);
-    }
-
-    #[test]
-    fn batched_hamming_matches_pairwise() {
-        let query = BinaryHypervector::from_bits((0..200).map(|i| i % 2 == 0));
-        let refs: Vec<BinaryHypervector> = (0..5)
-            .map(|k| BinaryHypervector::from_bits((0..200).map(move |i| (i + k) % 7 == 0)))
-            .collect();
-        let batch = hamming_distance_batch(&query, &refs);
-        let sims = normalized_hamming_similarity_batch(&query, &refs);
-        for (k, r) in refs.iter().enumerate() {
-            assert_eq!(batch[k], hamming_distance(&query, r));
-            assert!((sims[k] - normalized_hamming_similarity(&query, r)).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -56,7 +56,4 @@ pub use stats::{
     column_means, column_sums, column_variances, mean, min_max, normalize_min_max_in_place,
     population_variance, standard_deviation,
 };
-pub use vector::{
-    add_assign, add_scaled, axpy, cosine_similarity, dot, l2_norm, normalize_l2,
-    normalize_l2_in_place, scale_in_place, sub_scaled,
-};
+pub use vector::{axpy, cosine_similarity, dot, l2_norm, normalize_l2, normalize_l2_in_place};

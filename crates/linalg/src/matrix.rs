@@ -655,11 +655,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 /// A right-hand GEMM operand in the packed tile-major panel layout the
@@ -1465,12 +1460,6 @@ mod tests {
         assert_eq!(s.rows(), 3);
         assert_eq!(s.row(0), &[4.0, 5.0, 6.0]);
         assert_eq!(s.row(2), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_definition() {
-        let m = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

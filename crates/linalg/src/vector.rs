@@ -90,34 +90,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// `y += x` element-wise.
-///
-/// # Panics
-///
-/// Panics if `y.len() != x.len()`.
-pub fn add_assign(y: &mut [f32], x: &[f32]) {
-    axpy(1.0, x, y);
-}
-
-/// `y += alpha * x`; alias of [`axpy`] with DistHD-paper naming (model
-/// reinforcement toward the true class, Algorithm 1 line 8).
-pub fn add_scaled(y: &mut [f32], alpha: f32, x: &[f32]) {
-    axpy(alpha, x, y);
-}
-
-/// `y -= alpha * x` (model correction away from the mispredicted class,
-/// Algorithm 1 line 7).
-pub fn sub_scaled(y: &mut [f32], alpha: f32, x: &[f32]) {
-    axpy(-alpha, x, y);
-}
-
-/// Multiplies every element of `v` by `factor`.
-pub fn scale_in_place(v: &mut [f32], factor: f32) {
-    for x in v.iter_mut() {
-        *x *= factor;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,20 +148,5 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, -1.0], &mut y);
         assert_eq!(y, vec![7.0, -1.0]);
-    }
-
-    #[test]
-    fn add_and_sub_scaled_are_inverse() {
-        let mut y = vec![5.0, 5.0];
-        add_scaled(&mut y, 0.5, &[2.0, 4.0]);
-        sub_scaled(&mut y, 0.5, &[2.0, 4.0]);
-        assert_eq!(y, vec![5.0, 5.0]);
-    }
-
-    #[test]
-    fn scale_in_place_scales() {
-        let mut v = vec![1.5, -2.0];
-        scale_in_place(&mut v, -2.0);
-        assert_eq!(v, vec![-3.0, 4.0]);
     }
 }

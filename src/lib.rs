@@ -8,7 +8,7 @@
 //! * [`disthd`] — the DistHD classifier (the paper's contribution);
 //! * [`disthd_serve`] — the request-batching serving layer (engine, live
 //!   server, snapshot/rollback);
-//! * [`disthd_hd`] — the HDC substrate (hypervectors, encoders, quantization);
+//! * [`disthd_hd`] — the HDC substrate (RBF encoders, class models, quantization);
 //! * [`disthd_baselines`] — BaselineHD, NeuralHD, MLP, linear SVM;
 //! * [`disthd_datasets`] — the synthetic Table I dataset suite;
 //! * [`disthd_eval`] — metrics, ROC, timing, robustness campaigns;

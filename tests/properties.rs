@@ -8,7 +8,7 @@ use disthd_hd::encoder::{
     AnyRbfEncoder, Encoder, RbfEncoder, RegenerativeEncoder, StructuredRbfEncoder,
 };
 use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
-use disthd_hd::{BinaryHypervector, BipolarHypervector, ClassModel};
+use disthd_hd::ClassModel;
 use disthd_linalg::{dot_gemm_order, half_angle, parallel, sin_det};
 use disthd_linalg::{Matrix, RngSeed, SeededRng};
 use proptest::prelude::*;
@@ -108,32 +108,6 @@ proptest! {
         let serial = parallel::with_thread_count(1, || a.matmul(&b).expect("matmul"));
         let threaded = parallel::with_thread_count(threads, || a.matmul(&b).expect("matmul"));
         prop_assert_eq!(serial.as_slice(), threaded.as_slice());
-    }
-
-    /// Bipolar binding is self-inverse: (a * b) * b == a.
-    #[test]
-    fn bipolar_binding_inverts(seed in 0u64..1000) {
-        let mut rng = SeededRng::new(RngSeed(seed));
-        let a = BipolarHypervector::random(256, &mut rng);
-        let b = BipolarHypervector::random(256, &mut rng);
-        prop_assert_eq!(a.bound(&b).bound(&b), a);
-    }
-
-    /// Hamming distance is a metric: symmetric, zero iff equal, and obeys
-    /// the triangle inequality.
-    #[test]
-    fn hamming_is_a_metric(seed in 0u64..1000) {
-        let mut rng = SeededRng::new(RngSeed(seed));
-        let mk = |rng: &mut SeededRng| {
-            BinaryHypervector::from_bits((0..128).map(|_| rng.next_bool(0.5)))
-        };
-        let a = mk(&mut rng);
-        let b = mk(&mut rng);
-        let c = mk(&mut rng);
-        let d = disthd_hd::hamming_distance;
-        prop_assert_eq!(d(&a, &b), d(&b, &a));
-        prop_assert_eq!(d(&a, &a), 0);
-        prop_assert!(d(&a, &c) <= d(&a, &b) + d(&b, &c));
     }
 
     /// 8-bit quantization reconstructs within one quantization step of the
