@@ -3,68 +3,63 @@
 //! A [`crate::DeployedModel`] is the artifact that ships to an edge device:
 //! the f32 encoder, the per-dimension centering means and the quantized
 //! class memory.  This module writes and reads a compact, versioned
-//! little-endian binary format.  Version `'1'` is the dense-encoder layout:
+//! little-endian binary format.  Every artifact is written as the
+//! checksummed `'4'` container around a version-`'5'` body:
 //!
 //! ```text
-//! magic  "DHD" + version   4 bytes (version is the ASCII digit '1')
-//! n (features)             u32    D (dims)    u32    k (classes)   u32
-//! width bits               u32    base_std    f32
-//! bases                    n*D f32 (row-major)
-//! phases                   D f32
-//! center means             D f32
-//! memory scales            k f32
-//! memory word count        u32
-//! memory words             count u64
+//! magic  "DHD" + '4'       4 bytes
+//! embedded version         u8 ('5' when written; '1' | '2' | '3' load too)
+//! embedded body            the body of that version, verbatim
+//! checksum                 u64 FNV-1a over ALL preceding bytes
+//!                              (magic and embedded version included)
 //! ```
 //!
-//! Version `'2'` adds an **encoder-kind byte** right after the magic so a
-//! deployment can carry either RBF backend; kind `0` (dense) is followed by
-//! the version-1 payload verbatim, kind `1` (structured) replaces the base
-//! matrix with the Walsh–Hadamard construction's parts:
+//! The version-`'5'` body always carries the encoder-kind byte and the
+//! serving-task section:
 //!
 //! ```text
-//! magic  "DHD" + '2'       4 bytes
 //! encoder kind             u8  (0 = dense, 1 = structured)
-//! n, D, k, width bits      u32 each      base_std  f32
-//! -- structured kind only --
-//! block dim                u32 (padded FHT length, n.next_power_of_two())
-//! sign word count          u32
-//! sign words               count u64 (packed ±1 diagonals, bit = +1)
+//! n (features)             u32    D (dims)    u32    k (classes)   u32
+//! width bits               u32    base_std    f32
+//! -- dense kind --
+//! bases                    n*D f32 (row-major)
 //! phases                   D f32
-//! overlay count m          u32
-//! overlay dims             m u32
-//! overlay bases            m*n f32 (row-major, one base row per dim)
+//! -- structured kind --
+//! block dim                u32 (n.next_power_of_two(), or half of it)
+//! reserve block count R    u32 (R * block dim <= 2*D + block dim)
+//! sign words               ceil(S/64) u64, S = the backbone plan's signs
+//!                              + 3 * block dim per reserve block
+//!                              (packed ±1 diagonals, bit = +1)
+//! phases                   D f32
+//! reserve lanes            R * block dim u32 (owning dim, u32::MAX = free)
 //! -- shared tail --
 //! center means             D f32
 //! memory scales            k f32
 //! memory word count        u32
 //! memory words             count u64
-//! ```
-//!
-//! Version `'3'` appends a **serving-task section** after the shared tail
-//! (and always carries the encoder-kind byte, like `'2'`):
-//!
-//! ```text
-//! magic  "DHD" + '3'       4 bytes
-//! encoder kind             u8 (then the v1/v2 payload + shared tail)
-//! task count               u32 (1..=2; each task kind at most once)
+//! task count               u32 (0..=2; each task kind at most once)
 //! per task: kind           u8  (0 = top-k, 1 = anomaly threshold)
 //!           payload        u32 k   |   f32 threshold
 //! ```
 //!
-//! Version `'4'` is the **checksummed container** every new artifact is
-//! written as: the pre-checksum stream (whichever of `'1'`/`'2'`/`'3'` the
-//! model would have selected) is embedded verbatim after the magic, and a
-//! trailing FNV-1a hash covers every preceding byte:
+//! ## Legacy bodies
 //!
-//! ```text
-//! magic  "DHD" + '4'       4 bytes
-//! embedded version         u8 ('1' | '2' | '3' — the legacy stream's own
-//!                              version byte; its body follows verbatim)
-//! embedded body            exactly the v1/v2/v3 payload bytes
-//! checksum                 u64 FNV-1a over ALL preceding bytes
-//!                              (magic and embedded version included)
-//! ```
+//! Earlier writers chose the body version by content; readers still load
+//! all three, bare (`"DHD" + version`, no trailer) or embedded in a `'4'`
+//! container:
+//!
+//! - `'1'`: the dense payload and the shared tail, with no kind byte and
+//!   no task section;
+//! - `'2'`: the kind byte, then the `'1'` payload (dense) or the
+//!   structured payload of that time: block dim, sign word count u32,
+//!   the backbone's sign words, phases, then an overlay section of
+//!   `m` u32 dims and `m*n` f32 base rows; no task section;
+//! - `'3'`: a `'2'` body followed by a task section of 1..=2 tasks.
+//!
+//! The structured encoder no longer has a dense overlay, so a structured
+//! legacy body with `m > 0` fails closed with
+//! [`PersistError::RetiredOverlay`]; with `m = 0` it loads as an encoder
+//! with no reserve lanes.
 //!
 //! ## Format evolution
 //!
@@ -72,21 +67,15 @@
 //! the versions they know: a stream that starts with `DHD` but carries an
 //! unknown version digit fails with [`PersistError::UnsupportedVersion`] —
 //! distinct from [`PersistError::BadMagic`] (not a DHD stream at all) so
-//! callers can tell "newer than me" from "garbage".  Since the
-//! fault-tolerance layer, **every** deployment is written as the
-//! checksummed `'4'` container so a flipped bit in a stored blob can never
-//! be served silently: a structurally-parseable stream whose trailer does
-//! not match fails closed with [`PersistError::ChecksumMismatch`] before
-//! any caller sees the model.  Readers still load every legacy `'1'`,
-//! `'2'` and `'3'` stream (which carry no trailer — integrity there is
-//! best-effort structural validation only), and the embedded body inside
-//! a `'4'` container is byte-identical to the legacy stream the pre-
-//! checksum writer would have produced — stripping the container (drop the
-//! `'4'` magic + embedded-version prefix and the 8-byte trailer, re-prefix
-//! `DHD` + embedded version) yields a stream legacy readers load
-//! unchanged.  An unknown task kind fails closed ([`PersistError::
-//! Corrupt`], naming the field) rather than silently serving a
-//! misconfigured task, and a non-finite float in any field is
+//! callers can tell "newer than me" from "garbage".  A `'5'` body exists
+//! only inside the container, so a bare `"DHD5"` is unsupported too.  The
+//! container's trailer lets the loader fail closed: a
+//! structurally-parseable stream whose trailer does not match fails with
+//! [`PersistError::ChecksumMismatch`] before any caller sees the model.
+//! Bare legacy streams carry no trailer, so integrity there is best-effort
+//! structural validation only.  An unknown task kind fails closed
+//! ([`PersistError::Corrupt`], naming the field) rather than silently
+//! serving a misconfigured task, and a non-finite float in any field is
 //! [`PersistError::Corrupt`] too.  See `DESIGN.md` §6/§8/§11/§13 for the
 //! full compatibility rules.  Every deserialization failure names the
 //! offending field.
@@ -96,6 +85,7 @@ use disthd_hd::center::EncodingCenter;
 use disthd_hd::encoder::{AnyRbfEncoder, Encoder, RbfEncoder, StructuredRbfEncoder};
 use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
 use disthd_linalg::Matrix;
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
@@ -107,18 +97,20 @@ const MAGIC_PREFIX: &[u8; 3] = b"DHD";
 /// the vectors grow only as real payload bytes actually arrive, and a
 /// truncated stream fails with a named short-read error instead.
 const MAX_PREALLOC: usize = 1 << 20;
-/// Dense-encoder format version (the original layout, still written for
-/// dense deployments).
+/// Legacy dense body version: no kind byte, no task section.
 const VERSION_DENSE: u8 = b'1';
-/// Encoder-kind-dispatched format version (structured deployments).
+/// Legacy kinded body version: structured bodies carry the dense overlay
+/// section.
 const VERSION_KINDED: u8 = b'2';
-/// Serving-task-carrying format version (written only when a
-/// [`crate::ServingTasks`] is configured).
+/// Legacy tasked body version: a `'2'` body plus 1..=2 serving tasks.
 const VERSION_TASKED: u8 = b'3';
-/// Checksummed-container format version: an embedded `'1'`/`'2'`/`'3'`
-/// stream followed by a trailing FNV-1a hash over every preceding byte.
-/// This is what every new artifact is written as.
+/// Checksummed-container format version: an embedded body followed by a
+/// trailing FNV-1a hash over every preceding byte.  This is what every new
+/// artifact is written as.
 const VERSION_CHECKSUMMED: u8 = b'4';
+/// The body version every artifact is written with, inside the container:
+/// always kinded, always tasked, structured bodies with reserve lanes.
+const VERSION_RESERVE: u8 = b'5';
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
@@ -154,6 +146,13 @@ pub enum PersistError {
         /// The checksum computed over the bytes actually read.
         computed: u64,
     },
+    /// A legacy structured body whose encoder carries a dense regeneration
+    /// overlay, a layout the structured encoder no longer has: the model
+    /// cannot be expressed, so it is never loaded.
+    RetiredOverlay {
+        /// The overlay dim count the body declares.
+        dims: usize,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -173,6 +172,11 @@ impl fmt::Display for PersistError {
                 f,
                 "model stream checksum mismatch: trailer claims {stored:#018x}, \
                  bytes hash to {computed:#018x}"
+            ),
+            PersistError::RetiredOverlay { dims } => write!(
+                f,
+                "structured model carries a dense regeneration overlay of {dims} dims, \
+                 a layout this reader no longer loads (retrain and re-export it)"
             ),
         }
     }
@@ -195,26 +199,19 @@ impl From<std::io::Error> for PersistError {
 
 /// Writes a deployed model to `writer` (pass `&mut` for reuse).
 ///
-/// Every artifact is written as the checksummed `'4'` container: the
-/// stream a pre-checksum writer would have produced (dense task-free →
-/// `'1'`, structured → `'2'`, tasked → `'3'`) is embedded verbatim after
-/// the `DHD4` magic, then a trailing FNV-1a hash over all preceding bytes
-/// lets the loader fail closed on any bit flip instead of serving a
-/// silently-corrupted model.  The embedded body stays byte-identical to
-/// the legacy stream, so stripping the container recovers an artifact
-/// every older reader loads unchanged.
+/// Every artifact is written as the checksummed `'4'` container around a
+/// `'5'` body (see the module docs): a trailing FNV-1a hash over all
+/// preceding bytes lets the loader fail closed on any bit flip instead of
+/// serving a silently-corrupted model.
 ///
 /// # Errors
 ///
 /// Returns [`PersistError::Io`] on write failure.
 pub fn save_deployed<W: Write>(model: &DeployedModel, mut writer: W) -> Result<(), PersistError> {
-    let legacy = serialize_legacy(model)?;
-    let mut out = Vec::with_capacity(legacy.len() + 9);
+    let mut out = Vec::new();
     out.extend_from_slice(MAGIC_PREFIX);
-    out.push(VERSION_CHECKSUMMED);
-    // legacy[3] is the embedded stream's own version byte; its body
-    // follows verbatim.
-    out.extend_from_slice(&legacy[3..]);
+    out.extend_from_slice(&[VERSION_CHECKSUMMED, VERSION_RESERVE]);
+    write_body(model, &mut out)?;
     let checksum = fnv1a_update(FNV_OFFSET, &out);
     out.extend_from_slice(&checksum.to_le_bytes());
     writer.write_all(&out)?;
@@ -222,79 +219,58 @@ pub fn save_deployed<W: Write>(model: &DeployedModel, mut writer: W) -> Result<(
     Ok(())
 }
 
-/// Serializes `model` as the pre-checksum (`'1'`/`'2'`/`'3'`) stream that
-/// gets embedded inside the `'4'` container.
-fn serialize_legacy(model: &DeployedModel) -> Result<Vec<u8>, PersistError> {
-    let mut writer = Vec::new();
+/// Appends the `'5'` body of `model` to `out`.
+fn write_body(model: &DeployedModel, out: &mut Vec<u8>) -> Result<(), PersistError> {
     let (rows, cols) = model.memory_parts().shape();
-    let tasks = model.tasks();
-    let write_dims = |writer: &mut Vec<u8>, n: usize| -> Result<(), PersistError> {
-        write_u32(writer, n as u32)?;
-        write_u32(writer, cols as u32)?;
-        write_u32(writer, rows as u32)?;
-        write_u32(writer, model.width().bits() as u32)?;
-        write_f32(writer, model.encoder_parts().base_std())?;
-        Ok(())
+    let encoder = model.encoder_parts();
+    let kind = match encoder {
+        AnyRbfEncoder::Dense(_) => ENCODER_KIND_DENSE,
+        AnyRbfEncoder::Structured(_) => ENCODER_KIND_STRUCTURED,
     };
-    match model.encoder_parts() {
+    out.write_all(&[kind])?;
+    for v in [encoder.input_dim(), cols, rows, model.width().bits()] {
+        write_u32(out, v as u32)?;
+    }
+    write_f32(out, encoder.base_std())?;
+    match encoder {
         AnyRbfEncoder::Dense(encoder) => {
-            writer.write_all(MAGIC_PREFIX)?;
-            if tasks.is_empty() {
-                writer.write_all(&[VERSION_DENSE])?;
-            } else {
-                writer.write_all(&[VERSION_TASKED, ENCODER_KIND_DENSE])?;
-            }
             // The only place the packed bases are unpacked: the format
             // stores them row-major.
-            let bases = encoder.bases().to_matrix();
-            write_dims(&mut writer, bases.rows())?;
-            write_f32_slice(&mut writer, bases.as_slice())?;
-            write_f32_slice(&mut writer, encoder.phases())?;
+            write_f32_slice(out, encoder.bases().to_matrix().as_slice())?;
+            write_f32_slice(out, encoder.phases())?;
         }
         AnyRbfEncoder::Structured(encoder) => {
-            writer.write_all(MAGIC_PREFIX)?;
-            let version = if tasks.is_empty() {
-                VERSION_KINDED
-            } else {
-                VERSION_TASKED
-            };
-            writer.write_all(&[version])?;
-            writer.write_all(&[ENCODER_KIND_STRUCTURED])?;
-            write_dims(&mut writer, encoder.input_dim())?;
-            write_u32(&mut writer, encoder.block_dim() as u32)?;
-            let sign_words = encoder.packed_signs();
-            write_u32(&mut writer, sign_words.len() as u32)?;
-            for &w in &sign_words {
-                writer.write_all(&w.to_le_bytes())?;
+            let lanes = encoder.reserve_lanes();
+            write_u32(out, encoder.block_dim() as u32)?;
+            write_u32(out, (lanes.len() / encoder.block_dim()) as u32)?;
+            for w in encoder.packed_signs() {
+                out.write_all(&w.to_le_bytes())?;
             }
-            write_f32_slice(&mut writer, encoder.phases())?;
-            write_u32(&mut writer, encoder.overlay_dims().len() as u32)?;
-            for &d in encoder.overlay_dims() {
-                write_u32(&mut writer, d as u32)?;
+            write_f32_slice(out, encoder.phases())?;
+            for &dim in lanes {
+                write_u32(out, dim)?;
             }
-            write_f32_slice(&mut writer, encoder.overlay_rows().as_slice())?;
         }
     }
-    write_f32_slice(&mut writer, model.center_parts().means())?;
-    write_f32_slice(&mut writer, model.memory_parts().scales())?;
+    write_f32_slice(out, model.center_parts().means())?;
+    write_f32_slice(out, model.memory_parts().scales())?;
     let words = model.memory_parts().as_words();
-    write_u32(&mut writer, words.len() as u32)?;
+    write_u32(out, words.len() as u32)?;
     for &w in words {
-        writer.write_all(&w.to_le_bytes())?;
+        out.write_all(&w.to_le_bytes())?;
     }
-    if !tasks.is_empty() {
-        let count = tasks.top_k.is_some() as u32 + tasks.anomaly_threshold.is_some() as u32;
-        write_u32(&mut writer, count)?;
-        if let Some(k) = tasks.top_k {
-            writer.write_all(&[TASK_KIND_TOP_K])?;
-            write_u32(&mut writer, k as u32)?;
-        }
-        if let Some(threshold) = tasks.anomaly_threshold {
-            writer.write_all(&[TASK_KIND_ANOMALY])?;
-            write_f32(&mut writer, threshold)?;
-        }
+    let tasks = model.tasks();
+    let count = tasks.top_k.is_some() as u32 + tasks.anomaly_threshold.is_some() as u32;
+    write_u32(out, count)?;
+    if let Some(k) = tasks.top_k {
+        out.write_all(&[TASK_KIND_TOP_K])?;
+        write_u32(out, k as u32)?;
     }
-    Ok(writer)
+    if let Some(threshold) = tasks.anomaly_threshold {
+        out.write_all(&[TASK_KIND_ANOMALY])?;
+        write_f32(out, threshold)?;
+    }
+    Ok(())
 }
 
 /// Folds `bytes` into a running 64-bit FNV-1a hash.
@@ -369,6 +345,8 @@ fn read_header<R: Read>(reader: &mut R) -> Result<Header, PersistError> {
 ///   (or otherwise unknown) format version;
 /// * [`PersistError::Corrupt`] on inconsistent sizes, truncation or an
 ///   unknown encoder kind, naming the offending field;
+/// * [`PersistError::RetiredOverlay`] for a legacy structured body with a
+///   dense regeneration overlay;
 /// * [`PersistError::ChecksumMismatch`] when a `'4'` container parses
 ///   structurally but its trailing FNV-1a hash does not match the bytes
 ///   read (a flipped bit in storage — the model is withheld);
@@ -387,7 +365,7 @@ pub fn load_deployed<R: Read>(mut reader: R) -> Result<DeployedModel, PersistErr
             let mut embedded = [0u8; 1];
             read_field_bytes(&mut reader, &mut embedded, "embedded version")?;
             match embedded[0] {
-                VERSION_DENSE | VERSION_KINDED | VERSION_TASKED => {}
+                VERSION_DENSE | VERSION_KINDED | VERSION_TASKED | VERSION_RESERVE => {}
                 other => {
                     return Err(PersistError::Corrupt(format!(
                         "field `embedded version`: unknown version {:?}",
@@ -419,9 +397,8 @@ pub fn load_deployed<R: Read>(mut reader: R) -> Result<DeployedModel, PersistErr
     }
 }
 
-/// Loads the body of a validated legacy (`'1'`/`'2'`/`'3'`) stream —
-/// everything after the 4-byte magic.  Callers have already matched
-/// `version` against the known set.
+/// Loads the body of a validated stream — everything after the version
+/// byte.  Callers have already matched `version` against the known set.
 fn load_body_for_version<R: Read>(
     version: u8,
     reader: &mut R,
@@ -433,20 +410,23 @@ fn load_body_for_version<R: Read>(
     read_field_bytes(reader, &mut kind, "encoder kind")?;
     let mut model = match kind[0] {
         ENCODER_KIND_DENSE => load_dense_body(reader)?,
-        ENCODER_KIND_STRUCTURED => load_structured_body(reader)?,
+        ENCODER_KIND_STRUCTURED => load_structured_body(reader, version)?,
         other => {
             return Err(PersistError::Corrupt(format!(
                 "field `encoder kind`: unknown kind {other}"
             )))
         }
     };
-    if version == VERSION_TASKED {
-        load_task_section(reader, &mut model)?;
+    match version {
+        VERSION_TASKED => load_task_section(reader, &mut model, 1)?,
+        VERSION_RESERVE => load_task_section(reader, &mut model, 0)?,
+        _ => {}
     }
     Ok(model)
 }
 
-/// Reads the version-3 serving-task section and installs it on `model`.
+/// Reads a serving-task section of `min_count..=2` tasks and installs it
+/// on `model`.
 ///
 /// Fails **closed**: an unknown task kind, a duplicate kind, an
 /// out-of-range count or an invalid payload is [`PersistError::Corrupt`]
@@ -455,11 +435,12 @@ fn load_body_for_version<R: Read>(
 fn load_task_section<R: Read>(
     reader: &mut R,
     model: &mut DeployedModel,
+    min_count: usize,
 ) -> Result<(), PersistError> {
     let count = read_u32(reader, "task count")? as usize;
-    if count == 0 || count > 2 {
+    if !(min_count..=2).contains(&count) {
         return Err(PersistError::Corrupt(format!(
-            "field `task count`: {count} tasks (a v3 stream carries 1..=2)"
+            "field `task count`: {count} tasks (this body carries {min_count}..=2)"
         )));
     }
     let mut tasks = crate::deploy::ServingTasks::default();
@@ -511,65 +492,102 @@ fn load_dense_body<R: Read>(reader: &mut R) -> Result<DeployedModel, PersistErro
     load_shared_tail(reader, header, AnyRbfEncoder::Dense(encoder))
 }
 
-/// Reads the structured-encoder payload (version-2, kind 1).
-fn load_structured_body<R: Read>(reader: &mut R) -> Result<DeployedModel, PersistError> {
+/// Reads the structured-encoder payload of a `version` body: reserve
+/// lanes in a `'5'` body, an overlay section (which must be empty) in a
+/// legacy `'2'`/`'3'` body.
+fn load_structured_body<R: Read>(
+    reader: &mut R,
+    version: u8,
+) -> Result<DeployedModel, PersistError> {
     let header = read_header(reader)?;
     let block_dim = read_u32(reader, "block dim")? as usize;
     // Both construction modes are valid on load: the padded input size
     // (full-pad) and half of it (half-block, when the shape qualifies).
     // The encoder's own plan is the single source of truth for block
     // shapes and sign budgets — ragged last blocks shrink their share.
-    let expected_sign_words =
-        StructuredRbfEncoder::plan_sign_count(header.n, header.dim, block_dim)
-            .map(|signs| signs.div_ceil(64))
+    let backbone_signs = StructuredRbfEncoder::plan_sign_count(header.n, header.dim, block_dim)
+        .ok_or_else(|| {
+            PersistError::Corrupt(format!(
+                "field `block dim`: {block_dim} is not a valid block plan for {} features",
+                header.n
+            ))
+        })?;
+    let lane_count = if version == VERSION_RESERVE {
+        let blocks = read_u32(reader, "reserve block count")? as usize;
+        let bound = StructuredRbfEncoder::reserve_lane_bound(header.dim, block_dim);
+        blocks
+            .checked_mul(block_dim)
+            .filter(|&lanes| lanes <= bound)
             .ok_or_else(|| {
                 PersistError::Corrupt(format!(
-                    "field `block dim`: {block_dim} is not a valid block plan for {} features",
-                    header.n
+                    "field `reserve block count`: {blocks} blocks of {block_dim} lanes \
+                     exceed the {bound}-lane bound of a D={} model",
+                    header.dim
                 ))
-            })?;
-    let sign_word_count = read_u32(reader, "sign word count")? as usize;
-    if sign_word_count != expected_sign_words {
-        return Err(PersistError::Corrupt(format!(
-            "field `sign word count`: {sign_word_count} words for blocks of \
-             {block_dim} (expected {expected_sign_words})"
-        )));
+            })?
+    } else {
+        0
+    };
+    let sign_words = lane_count
+        .checked_mul(3)
+        .and_then(|reserve| reserve.checked_add(backbone_signs))
+        .map(|signs| signs.div_ceil(64))
+        .ok_or_else(|| {
+            PersistError::Corrupt("field `reserve block count`: sign count overflows".into())
+        })?;
+    if version != VERSION_RESERVE {
+        let count = read_u32(reader, "sign word count")? as usize;
+        if count != sign_words {
+            return Err(PersistError::Corrupt(format!(
+                "field `sign word count`: {count} words for blocks of \
+                 {block_dim} (expected {sign_words})"
+            )));
+        }
     }
-    let mut sign_words = Vec::with_capacity(sign_word_count.min(MAX_PREALLOC));
-    for _ in 0..sign_word_count {
+    let mut signs = Vec::with_capacity(sign_words.min(MAX_PREALLOC));
+    for _ in 0..sign_words {
         let mut buf = [0u8; 8];
         read_field_bytes(reader, &mut buf, "sign words")?;
-        sign_words.push(u64::from_le_bytes(buf));
+        signs.push(u64::from_le_bytes(buf));
     }
     let phases = read_f32_vec(reader, header.dim, "phases")?;
-    let overlay_count = read_u32(reader, "overlay count")? as usize;
-    if overlay_count > header.dim {
-        return Err(PersistError::Corrupt(format!(
-            "field `overlay count`: {overlay_count} overlaid dims in a D={} model",
-            header.dim
-        )));
+    let mut lanes = Vec::with_capacity(lane_count.min(MAX_PREALLOC));
+    if version == VERSION_RESERVE {
+        // Grows with the entries read, never with the untrusted D.
+        let mut named = BTreeSet::new();
+        for lane in 0..lane_count {
+            let dim = read_u32(reader, "reserve lanes")?;
+            if dim != StructuredRbfEncoder::FREE_LANE {
+                if dim as usize >= header.dim {
+                    return Err(PersistError::Corrupt(format!(
+                        "field `reserve lanes`: lane {lane} names dim {dim} of a D={} model",
+                        header.dim
+                    )));
+                }
+                if !named.insert(dim) {
+                    return Err(PersistError::Corrupt(format!(
+                        "field `reserve lanes`: lane {lane} names dim {dim} a second time"
+                    )));
+                }
+            }
+            lanes.push(dim);
+        }
+    } else {
+        let dims = read_u32(reader, "overlay count")? as usize;
+        if dims > 0 {
+            return Err(PersistError::RetiredOverlay { dims });
+        }
     }
-    let mut overlay_dims = Vec::with_capacity(overlay_count.min(MAX_PREALLOC));
-    for _ in 0..overlay_count {
-        overlay_dims.push(read_u32(reader, "overlay dims")? as usize);
-    }
-    let overlay_len = overlay_count.checked_mul(header.n).ok_or_else(|| {
-        PersistError::Corrupt("field `overlay bases`: m * n overflows the address space".into())
-    })?;
-    let overlay_values = read_f32_vec(reader, overlay_len, "overlay bases")?;
-    let overlay_rows = Matrix::from_vec(overlay_count, header.n, overlay_values)
-        .map_err(|e| PersistError::Corrupt(format!("field `overlay bases`: {e}")))?;
     let encoder = StructuredRbfEncoder::from_parts(
         header.n,
         header.dim,
         header.base_std,
         block_dim,
-        &sign_words,
+        &signs,
         phases,
-        overlay_dims,
-        overlay_rows,
+        lanes,
     )
-    .map_err(|e| PersistError::Corrupt(format!("field `overlay dims`: {e}")))?;
+    .map_err(|e| PersistError::Corrupt(format!("field `reserve lanes`: {e}")))?;
     load_shared_tail(reader, header, AnyRbfEncoder::Structured(encoder))
 }
 
@@ -787,29 +805,34 @@ mod tests {
         (DeployedModel::freeze(&model, BitWidth::B4).unwrap(), data)
     }
 
-    /// Strips the `'4'` container from a freshly-written stream: drops the
-    /// outer magic and the 8-byte trailer and re-prefixes `DHD` onto the
-    /// embedded version byte + body, reconstructing the exact stream a
-    /// pre-checksum writer would have produced.
-    fn strip_container(v4: &[u8]) -> Vec<u8> {
-        assert_eq!(&v4[..4], b"DHD4");
-        let mut legacy = Vec::with_capacity(v4.len() - 9);
-        legacy.extend_from_slice(MAGIC_PREFIX);
-        legacy.extend_from_slice(&v4[4..v4.len() - 8]);
+    /// The legacy `'1'` stream of a task-free dense deployment written as
+    /// `v4`: a dense `'5'` body is the kind byte, the `'1'` payload and
+    /// tail, and a task count of zero.
+    fn legacy_v1(v4: &[u8]) -> Vec<u8> {
+        assert_eq!(&v4[..6], b"DHD45\x00");
+        assert_eq!(v4[v4.len() - 12..v4.len() - 8], [0; 4], "task-free");
+        let mut legacy = b"DHD1".to_vec();
+        legacy.extend_from_slice(&v4[6..v4.len() - 12]);
         legacy
     }
 
     #[test]
-    fn dense_deployments_embed_version_one() {
-        // Pre-structured readers only understand 'DHD1'; a dense model's
-        // embedded body must reconstruct to exactly that stream, and this
-        // reader must still load the reconstruction identically.
+    fn every_deployment_embeds_a_version_five_body_and_legacy_bodies_load() {
+        // Dense models are written as '5' bodies too.  The body exists only
+        // inside the container, and the legacy '1' layout still loads
+        // identically.
         let (original, data) = deployed();
         let mut buffer = Vec::new();
         save_deployed(&original, &mut buffer).unwrap();
-        assert_eq!(&buffer[..5], b"DHD41");
-        let legacy = strip_container(&buffer);
-        assert_eq!(&legacy[..4], b"DHD1");
+        assert_eq!(&buffer[..6], b"DHD45\x00");
+        let mut bare = b"DHD5".to_vec();
+        bare.extend_from_slice(&buffer[5..buffer.len() - 8]);
+        let err = load_deployed(bare.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, PersistError::UnsupportedVersion(b'5')),
+            "{err}"
+        );
+        let legacy = legacy_v1(&buffer);
         let restored = load_deployed(legacy.as_slice()).unwrap();
         for i in 0..data.test.len().min(20) {
             assert_eq!(
@@ -849,21 +872,20 @@ mod tests {
 
     #[test]
     fn structured_encoder_kind_round_trips() {
-        // A regenerated structured model carries signs, phases and a
-        // non-empty overlay; the v2 stream must reproduce its predictions
-        // exactly.
+        // A regenerated structured model carries signs, phases and reserve
+        // lanes; the stream must reproduce its predictions exactly.
         let (original, data) = structured_deployed();
         assert!(
             original
                 .encoder_parts()
                 .as_structured()
-                .map(|e| e.overlay_len() > 0)
+                .map(|e| !e.reserve_lanes().is_empty())
                 .unwrap_or(false),
-            "fit should have evicted dims into the overlay"
+            "fit should have moved dims to reserve lanes"
         );
         let mut buffer = Vec::new();
         save_deployed(&original, &mut buffer).unwrap();
-        assert_eq!(&buffer[..6], b"DHD42\x01");
+        assert_eq!(&buffer[..6], b"DHD45\x01");
         let restored = load_deployed(buffer.as_slice()).unwrap();
         assert!(restored.encoder_parts().as_structured().is_some());
         for i in 0..data.test.len().min(50) {
@@ -881,9 +903,9 @@ mod tests {
     fn regenerated_encoders_save_load_save_byte_identically() {
         // Both encoders hold their projections packed and unpack only
         // here.  Regenerate twice, the second call re-drawing a dim the
-        // first replaced (for the structured encoder: one the overlay
-        // already holds); the round trip must reproduce the stream byte for
-        // byte and keep every score bitwise.
+        // first replaced (for the structured encoder: one that already owns
+        // a reserve lane); the round trip must reproduce the stream byte
+        // for byte and keep every score bitwise.
         use disthd_hd::encoder::RegenerativeEncoder;
         use disthd_linalg::{RngSeed, SeededRng};
         let classes = Matrix::from_fn(3, 40, |r, c| ((r * 40 + c) as f32 * 0.61).sin());
@@ -917,13 +939,12 @@ mod tests {
 
     #[test]
     fn version_two_dense_kind_loads_like_version_one() {
-        // The kind byte exists so future dense streams may use v2 as well:
-        // splicing a dense-kind byte into a v1 stream must load the same
+        // Splicing a dense-kind byte into a v1 stream must load the same
         // model.
         let (original, data) = deployed();
         let mut buffer = Vec::new();
         save_deployed(&original, &mut buffer).unwrap();
-        let legacy = strip_container(&buffer);
+        let legacy = legacy_v1(&buffer);
         let mut v2 = Vec::with_capacity(legacy.len() + 1);
         v2.extend_from_slice(b"DHD2\x00");
         v2.extend_from_slice(&legacy[4..]);
@@ -953,13 +974,14 @@ mod tests {
         assert!(err.to_string().contains("feature count n"), "{err}");
 
         // Cut inside the sign words: header is magic(4) + embedded ver(1) +
-        // kind(1) + 4 u32 + f32 + block_dim u32 + sign word count u32.
+        // kind(1) + 4 u32 + f32 + block_dim u32 + reserve block count u32.
         let header = 6 + 4 * 4 + 4 + 4 + 4;
         let err = load_deployed(&buffer[..header + 10]).unwrap_err();
         assert!(err.to_string().contains("sign words"), "{err}");
 
-        // Cut inside the trailing memory words (before the 8-byte trailer).
-        let err = load_deployed(&buffer[..buffer.len() - 8 - 3]).unwrap_err();
+        // Cut inside the memory words (before the 4-byte task count and
+        // the 8-byte trailer).
+        let err = load_deployed(&buffer[..buffer.len() - 8 - 4 - 3]).unwrap_err();
         assert!(err.to_string().contains("memory words"), "{err}");
     }
 
@@ -983,8 +1005,8 @@ mod tests {
         save_deployed(&original, &mut buffer).unwrap();
 
         // Cut inside the bases payload: prefix is magic(4) + embedded
-        // version(1), then 4 u32 + 1 f32 of header.
-        let header = 5 + 4 * 4 + 4;
+        // version(1) + kind(1), then 4 u32 + 1 f32 of header.
+        let header = 6 + 4 * 4 + 4;
         let err = load_deployed(&buffer[..header + 10]).unwrap_err();
         assert!(err.to_string().contains("bases"), "{err}");
 
@@ -992,8 +1014,9 @@ mod tests {
         let err = load_deployed(&buffer[..2]).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
-        // Cut inside the trailing memory words (before the 8-byte trailer).
-        let err = load_deployed(&buffer[..buffer.len() - 8 - 3]).unwrap_err();
+        // Cut inside the memory words (before the 4-byte task count and
+        // the 8-byte trailer).
+        let err = load_deployed(&buffer[..buffer.len() - 8 - 4 - 3]).unwrap_err();
         assert!(err.to_string().contains("memory words"), "{err}");
     }
 
@@ -1003,10 +1026,11 @@ mod tests {
         let mut buffer = Vec::new();
         save_deployed(&original, &mut buffer).unwrap();
         // The word count lives right before the words (which sit ahead of
-        // the 8-byte checksum trailer); corrupt it.  The structural check
-        // fires during the parse, before the checksum is even read.
+        // the 4-byte task count and the 8-byte checksum trailer); corrupt
+        // it.  The structural check fires during the parse, before the
+        // checksum is even read.
         let words = original.memory_parts().as_words().len();
-        let offset = buffer.len() - 8 - words * 8 - 4;
+        let offset = buffer.len() - 8 - 4 - words * 8 - 4;
         buffer[offset..offset + 4].copy_from_slice(&(words as u32 + 7).to_le_bytes());
         let err = load_deployed(buffer.as_slice()).unwrap_err();
         assert!(err.to_string().contains("memory word count"), "{err}");
@@ -1077,11 +1101,10 @@ mod tests {
     }
 
     #[test]
-    fn task_free_streams_stay_byte_identical_and_tasks_round_trip() {
-        // The compatibility contract of version '3': a deployment with no
-        // tasks must serialize to the exact pre-task bytes (v1 dense, v2
-        // structured), and a tasked deployment must round-trip both its
-        // predictions and its task configuration through the v3 stream.
+    fn tasks_round_trip_and_clearing_them_restores_the_task_free_bytes() {
+        // A task-free deployment writes a task count of zero; a tasked one
+        // must round-trip both its predictions and its task configuration,
+        // and dropping the tasks again must reproduce the task-free bytes.
         for structured in [false, true] {
             let (original, data) = if structured {
                 structured_deployed()
@@ -1090,23 +1113,12 @@ mod tests {
             };
             let mut task_free = Vec::new();
             save_deployed(&original, &mut task_free).unwrap();
-            let expected_magic: &[u8] = if structured { b"DHD42\x01" } else { b"DHD41" };
-            assert_eq!(&task_free[..expected_magic.len()], expected_magic);
-            // Stripping the container reconstructs the exact pre-checksum
-            // stream, so pre-task readers keep loading task-free artifacts.
-            let legacy_magic: &[u8] = if structured { b"DHD2\x01" } else { b"DHD1" };
-            let legacy = strip_container(&task_free);
-            assert_eq!(&legacy[..legacy_magic.len()], legacy_magic);
+            assert_eq!(task_free[task_free.len() - 12..task_free.len() - 8], [0; 4]);
 
             let with_tasks = tasked(&original);
             let mut buffer = Vec::new();
             save_deployed(&with_tasks, &mut buffer).unwrap();
-            let v3_magic: &[u8] = if structured {
-                b"DHD43\x01"
-            } else {
-                b"DHD43\x00"
-            };
-            assert_eq!(&buffer[..v3_magic.len()], v3_magic);
+            assert_eq!(&buffer[..6], &task_free[..6]);
             let restored = load_deployed(buffer.as_slice()).unwrap();
             assert_eq!(restored.tasks(), with_tasks.tasks());
             for i in 0..data.test.len().min(20) {
@@ -1117,8 +1129,6 @@ mod tests {
                 );
             }
 
-            // Dropping the tasks again reproduces the pre-task bytes
-            // exactly.
             let mut cleared = with_tasks.clone();
             cleared.set_tasks(ServingTasks::default()).unwrap();
             let mut second = Vec::new();
@@ -1193,13 +1203,33 @@ mod tests {
 
     #[test]
     fn task_count_out_of_range_is_corrupt() {
-        for forged in [0u32, 3] {
+        for forged in [3u32, u32::MAX] {
             let mut buffer = top_k_only_stream();
             let count_at = buffer.len() - 8 - 9;
             buffer[count_at..count_at + 4].copy_from_slice(&forged.to_le_bytes());
             let err = load_deployed(buffer.as_slice()).unwrap_err();
             assert!(err.to_string().contains("task count"), "{forged}: {err}");
         }
+        // A dense '5' body is a legacy '3' body whose task count may be
+        // zero; the legacy version still requires at least one task.
+        let (original, _) = deployed();
+        let mut buffer = Vec::new();
+        save_deployed(&original, &mut buffer).unwrap();
+        let mut v3 = b"DHD3".to_vec();
+        v3.extend_from_slice(&buffer[5..buffer.len() - 8]);
+        let err = load_deployed(v3.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("task count"), "{err}");
+        let v3 = {
+            let mut stream = b"DHD3".to_vec();
+            let mut tasked_buffer = Vec::new();
+            save_deployed(&tasked(&original), &mut tasked_buffer).unwrap();
+            stream.extend_from_slice(&tasked_buffer[5..tasked_buffer.len() - 8]);
+            stream
+        };
+        assert_eq!(
+            load_deployed(v3.as_slice()).unwrap().tasks(),
+            tasked(&original).tasks()
+        );
     }
 
     #[test]
@@ -1258,6 +1288,8 @@ mod tests {
         let text = mismatch.to_string();
         assert!(text.contains("0x000000000000dead"), "{text}");
         assert!(text.contains("0x000000000000beef"), "{text}");
+        let retired = PersistError::RetiredOverlay { dims: 820 }.to_string();
+        assert!(retired.contains("overlay of 820 dims"), "{retired}");
     }
 
     #[test]

@@ -516,10 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn partial_fit_regenerates_into_the_structured_overlay() {
-        // Online regeneration on the structured backend must evict the
-        // regenerated dims into the dense overlay and keep learning — the
-        // streaming twin of the offline eviction test.
+    fn partial_fit_regenerates_into_structured_reserve_lanes() {
+        // Online regeneration on the structured backend must move the
+        // regenerated dims to reserve lanes, keep the reserve within its
+        // bound and keep learning — the streaming twin of the offline
+        // regeneration test.
         let data = small(PaperDataset::Diabetes, 0.002);
         let mut cfg_model = config(256, 8);
         cfg_model.encoder_backend = disthd_hd::encoder::EncoderBackend::Structured;
@@ -540,13 +541,15 @@ mod tests {
             }
         }
         assert!(regenerated > 0, "streaming regeneration never fired");
-        let overlay = model
-            .encoder()
-            .as_structured()
-            .expect("structured backend")
-            .overlay_len();
-        assert!(overlay > 0, "regenerated dims were not evicted");
-        assert!(overlay <= regenerated);
+        let encoder = model.encoder().as_structured().expect("structured backend");
+        let lanes = encoder.reserve_lanes();
+        let owned = lanes
+            .iter()
+            .filter(|&&dim| dim != disthd_hd::encoder::StructuredRbfEncoder::FREE_LANE)
+            .count();
+        assert!(owned > 0, "regenerated dims own no reserve lane");
+        assert!(owned <= regenerated);
+        assert!(lanes.len() <= 2 * 256 + encoder.block_dim());
         let acc = model.accuracy(&data.test).unwrap();
         assert!(acc > 0.4, "streamed structured accuracy {acc}");
     }

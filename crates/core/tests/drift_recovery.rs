@@ -19,23 +19,31 @@ use disthd_datasets::drift::{DriftConfig, DriftStream};
 use disthd_datasets::suite::PaperDataset;
 use disthd_eval::stream::PrequentialTrace;
 use disthd_eval::Classifier;
+use disthd_hd::encoder::{EncoderBackend, StructuredRbfEncoder};
 
 const BATCH: usize = 16;
 const PRE_DRIFT_BATCHES: usize = 60;
 const POST_DRIFT_BATCHES: usize = 60;
 const TRACE_WINDOW: usize = 64;
+const DIM: usize = 256;
 
-/// Streams an abrupt-drift scenario through `partial_fit` and returns the
-/// prequential trace (recorded from the second batch on, so every sample
-/// is scored by a fitted model) plus the drift index within the trace.
-fn run_scenario(regen_every: usize) -> (PrequentialTrace, usize) {
+/// Streams an abrupt-drift scenario through `partial_fit` on `backend`
+/// and returns the prequential trace (recorded from the second batch on,
+/// so every sample is scored by a fitted model) plus the drift index
+/// within the trace.  `after_batch` sees the model after every batch.
+fn run_scenario(
+    backend: EncoderBackend,
+    regen_every: usize,
+    mut after_batch: impl FnMut(usize, &DistHd),
+) -> (PrequentialTrace, usize) {
     let drift_at_sample = PRE_DRIFT_BATCHES * BATCH;
     let mut stream =
         DriftStream::new(DriftConfig::abrupt(PaperDataset::Diabetes, drift_at_sample)).unwrap();
 
     let mut model = DistHd::new(
         DistHdConfig {
-            dim: 256,
+            dim: DIM,
+            encoder_backend: backend,
             ..Default::default()
         },
         stream.feature_dim(),
@@ -61,6 +69,7 @@ fn run_scenario(regen_every: usize) -> (PrequentialTrace, usize) {
             }
         }
         model.partial_fit_with(&batch, &cfg).unwrap();
+        after_batch(batch_index, &model);
     }
     // One batch was consumed before recording started.
     (trace, drift_at_sample - BATCH)
@@ -68,8 +77,38 @@ fn run_scenario(regen_every: usize) -> (PrequentialTrace, usize) {
 
 #[test]
 fn regeneration_recovers_from_abrupt_drift_faster_than_the_baseline() {
-    let (regen, drift_at) = run_scenario(2);
-    let (frozen, _) = run_scenario(0);
+    assert_recovers_faster_than_the_baseline(EncoderBackend::Dense);
+}
+
+#[test]
+fn structured_regeneration_recovers_from_abrupt_drift_faster_than_the_baseline() {
+    // The same pins on the structured encoder, whose regenerated dims
+    // move to reserve lanes.
+    assert_recovers_faster_than_the_baseline(EncoderBackend::Structured);
+}
+
+#[test]
+fn structured_reserve_stays_within_its_bound_on_a_long_drift_stream() {
+    // Regeneration after every batch for the whole 120-batch stream: the
+    // churn that would fragment a reserve that never reuses lanes.
+    let (mut peak, mut block_dim) = (0, 0);
+    run_scenario(EncoderBackend::Structured, 1, |batch, model| {
+        let encoder = model.encoder().as_structured().expect("structured backend");
+        let lanes = encoder.reserve_lanes().len();
+        block_dim = encoder.block_dim();
+        let bound = StructuredRbfEncoder::reserve_lane_bound(DIM, block_dim);
+        assert!(lanes <= bound, "batch {batch}: {lanes} lanes > {bound}");
+        peak = peak.max(lanes);
+    });
+    eprintln!("structured reserve: peak {peak} lanes in blocks of {block_dim}");
+    assert!(peak > 0, "regeneration never fired");
+}
+
+/// The headline drift pins on `backend`: regeneration every second batch
+/// against regeneration disabled.
+fn assert_recovers_faster_than_the_baseline(backend: EncoderBackend) {
+    let (regen, drift_at) = run_scenario(backend, 2, |_, _| {});
+    let (frozen, _) = run_scenario(backend, 0, |_, _| {});
 
     // Both runs were healthy and got hurt: windowed accuracy above 0.90
     // before the drift, and a real post-drift dip.
@@ -100,7 +139,7 @@ fn regeneration_recovers_from_abrupt_drift_faster_than_the_baseline() {
         .recovery_time(drift_at + TRACE_WINDOW, target)
         .map(|t| t + TRACE_WINDOW);
     eprintln!(
-        "regen: pre {pre_regen:.3} forget {:.3} recovery {regen_recovery:?}; \
+        "{backend} regen: pre {pre_regen:.3} forget {:.3} recovery {regen_recovery:?}; \
          frozen: pre {pre_frozen:.3} forget {:.3} recovery {frozen_recovery:?}",
         regen.forgetting(drift_at),
         frozen.forgetting(drift_at),

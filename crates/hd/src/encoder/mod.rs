@@ -9,8 +9,9 @@
 //!   `c_i ~ U[0, 2π)` (§III-C, after Rahimi & Recht's random features \[21\]).
 //! * [`StructuredRbfEncoder`] — the same kernel map with the dense Gaussian
 //!   bases replaced by sign-diagonal × Walsh–Hadamard products
-//!   (SORF/Fastfood): `O(D log D)` encode instead of `O(F·D)`, with a dense
-//!   overlay so per-dimension regeneration still works.
+//!   (SORF/Fastfood): `O(D log D)` encode instead of `O(F·D)`; a
+//!   regenerated dimension moves to a lane of a freshly drawn reserve
+//!   block, so per-dimension regeneration stays structured too.
 //! * [`AnyRbfEncoder`] — runtime dispatch between the two RBF backends
 //!   (selected by [`EncoderBackend`]); what the trainer and deployments
 //!   actually hold.
@@ -200,8 +201,8 @@ impl std::fmt::Display for EncoderBackend {
 pub enum AnyRbfEncoder {
     /// Dense Gaussian base matrix.
     Dense(RbfEncoder),
-    /// Structured Walsh–Hadamard construction with a dense regeneration
-    /// overlay.
+    /// Structured Walsh–Hadamard construction with reserve lanes for
+    /// regenerated dims.
     Structured(StructuredRbfEncoder),
 }
 
@@ -437,8 +438,8 @@ mod backend_tests {
         let mut rng = SeededRng::new(RngSeed(77));
         // One shape small enough for the fused constructor's serial loop,
         // one wide enough to fan out over the pool; both with regenerated
-        // (overlay) dims so the structured backend's dense patch is
-        // exercised too.
+        // dims, so the structured backend's reserve lanes are exercised
+        // too.
         for (rows, dim) in [(9usize, 257usize), (40, 1030)] {
             for backend in [EncoderBackend::Dense, EncoderBackend::Structured] {
                 let mut enc = AnyRbfEncoder::new(backend, 6, dim, RngSeed(31));

@@ -1,8 +1,8 @@
 use super::{half_angle_cosine, Encoder, RegenerativeEncoder};
 use crate::quantize::{BitWidth, QuantizedMatrix};
 use disthd_linalg::{
-    dot_gemm_order, fht_inplace, fht_inplace_signed, half_angle_row, parallel, sin_det,
-    FhtSchedule, Gaussian, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError, Uniform,
+    fht_inplace, fht_inplace_signed, half_angle_row, parallel, sin_det, FhtSchedule, Matrix,
+    RngSeed, SeededRng, ShapeError, Uniform,
 };
 use std::collections::BTreeMap;
 
@@ -38,14 +38,11 @@ fn encode_chunk_rows(output_dim: usize) -> usize {
     ENCODE_ROW_CHUNK * scale
 }
 
-/// Sentinel in the dim → overlay-column map: "still on the structured
-/// backbone".
-const NOT_OVERLAID: u32 = u32::MAX;
-
 /// Shape of one transform block: which input features it reads, which
-/// output dims it produces, where its sign diagonals live and how its raw
-/// outputs are scaled.  Derived deterministically from
-/// `(input_dim, output_dim, block_dim)` — never persisted.
+/// outputs it produces, where its sign diagonals live and how its raw
+/// outputs are scaled.  Backbone blocks are derived deterministically from
+/// `(input_dim, output_dim, block_dim)`; reserve blocks from their index.
+/// Never persisted.
 #[derive(Debug, Clone)]
 struct BlockSpec {
     /// Start of this block's `3 · transform_dim` sign entries in `signs`.
@@ -58,10 +55,11 @@ struct BlockSpec {
     /// equals `transform_dim` in half-block mode, `input_dim` in full-pad
     /// mode).
     window_len: usize,
-    /// First output dimension this block produces.
+    /// First output this block produces: an output dimension on the
+    /// backbone, a reserve lane in a reserve block.
     out_start: usize,
-    /// Output dimensions produced (`min(output_dim − out_start,
-    /// transform_dim)`).
+    /// Outputs produced (`min(output_dim − out_start, transform_dim)` on
+    /// the backbone, `block_dim` in a reserve block).
     out_width: usize,
     /// Scale applied to raw transform outputs before the epilogue.
     scale: f32,
@@ -105,30 +103,38 @@ struct BlockSpec {
 ///
 /// Every block transform runs the ascending butterfly schedule
 /// ([`FhtSchedule::Ascending`], the only one) over all its lanes.  Each
-/// block then copies its whole consumed output width into the row and
-/// runs one vectorized [`disthd_linalg::half_angle_row`] over that
-/// contiguous slice, overlaid dims included: their values are overwritten
-/// by the overlay pass below.  Computing them costs a few lanes of a
-/// vector loop; skipping them would cut the slice into short scalar runs.
+/// backbone block then copies its whole consumed output width into the
+/// row and runs one vectorized [`disthd_linalg::half_angle_row`] over that
+/// contiguous slice, regenerated dims included: their values are
+/// overwritten by the reserve pass below.  Computing them costs a few
+/// lanes of a vector loop; skipping them would cut the slice into short
+/// scalar runs.
 ///
-/// ## Regeneration: the dense overlay
+/// ## Regeneration: reserve lanes
 ///
 /// DistHD's Algorithm 2 regenerates *individual* dimensions, but a
-/// structured dimension has no private base vector to redraw — every output
-/// of a block shares the same sign diagonals.  A regenerated dimension is
-/// therefore **evicted** from the structured backbone into a small dense
-/// overlay: it gets a fresh private Gaussian base vector (exactly a dense
-/// [`super::RbfEncoder`] column), stored as one row of a patch matrix.
-/// Encoding computes the structured pass for every dimension, then the
-/// overlay's raw projections via the existing packed GEMM
-/// ([`Matrix::matmul_rows_into`] against the overlay, held packed), runs
-/// one [`disthd_linalg::half_angle_row`] over each row of them with the
-/// overlay dims' phases in overlay order, and scatters the results into
-/// the overlaid columns.
-/// `fit` / `partial_fit` / regeneration semantics are therefore identical
-/// to the dense encoder's, and the overlay GEMM costs `O(F·m)` per sample
-/// for `m` evicted dimensions — at a few hundred evicted dimensions, more
-/// than the whole structured pass.
+/// backbone dimension has no private base vector to redraw — every output
+/// of a block shares the same sign diagonals.  A regenerated dimension
+/// therefore moves to one **lane** of a *reserve block*: an extra
+/// `block_dim`-lane transform with its own freshly drawn signs, the next
+/// window of the half-block head/tail rotation and the backbone's scale,
+/// so each lane is a fresh structured projection with the dense target
+/// norm.  Encoding runs every reserve block through the same transform and
+/// one [`disthd_linalg::half_angle_row`] with the phases in lane order,
+/// then scatters the owned lanes to their dims.
+///
+/// Within one [`RegenerativeEncoder::regenerate`] call each dim takes a
+/// lane in call order: the lanes of the newest reserve block above its
+/// highest owned lane first, then the lowest lane that was free before the
+/// call (a lane whose dim was regenerated again), and only when neither
+/// exists a new block, whose `3 · block_dim` signs are drawn from the
+/// caller's RNG before the dim's phase.  A lane freed during a call is
+/// reused only by a later call, so a regenerated dim always gets a new
+/// projection.  The reserve never exceeds
+/// [`StructuredRbfEncoder::reserve_lane_bound`] lanes, and the lane map
+/// alone determines where the next call puts its dims, so an encoder
+/// rebuilt by [`StructuredRbfEncoder::from_parts`] regenerates exactly
+/// like the original.
 ///
 /// # Example
 ///
@@ -143,6 +149,7 @@ struct BlockSpec {
 /// let after = encoder.encode(&[0.3, 0.1, 0.8, 0.5])?;
 /// assert_ne!(before[0], after[0]);      // regenerated dims change
 /// assert_eq!(before[3], after[3]);      // untouched dims are stable
+/// assert_eq!(encoder.reserve_lanes()[..3], [0, 1, 2]);
 /// # Ok::<(), disthd_linalg::ShapeError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -156,52 +163,35 @@ pub struct StructuredRbfEncoder {
     /// size in full-pad mode, half of it in half-block mode.  Every
     /// block's `transform_dim` is ≤ this.
     block_dim: usize,
-    /// Stacked transform blocks (shape derived from
+    /// Stacked backbone transform blocks (shape derived from
     /// `(input_dim, output_dim, block_dim)`).
     blocks: Vec<BlockSpec>,
+    /// Reserve blocks in draw order, `block_dim` lanes each.
+    reserve: Vec<BlockSpec>,
     /// Rademacher sign diagonals as `±1.0` (ready to multiply):
     /// `3 · transform_dim` entries per block, laid out
-    /// `[block][stage][lane]` at each block's `sign_offset`.
+    /// `[block][stage][lane]` at each block's `sign_offset`, backbone
+    /// blocks first, then reserve blocks.
     signs: Vec<f32>,
     /// Per-dimension phases `c_i ~ U[0, 2π)`.
     phases: Vec<f32>,
     /// Precomputed `sin(c_i)` (see `RbfEncoder::phase_sins`).
     phase_sins: Vec<f32>,
-    /// Dim → overlay row index, [`NOT_OVERLAID`] while structured.
-    overlay_index: Vec<u32>,
-    /// Evicted dims in eviction order (row `j` of `overlay_rows` is the
-    /// private base vector of `overlay_dims[j]`).
-    overlay_dims: Vec<usize>,
-    /// `phases[overlay_dims[j]]` at index `j`: the overlay epilogue's
-    /// phases, contiguous so each patch row runs one `half_angle_row`.
-    /// Written with `phases` by every regeneration.
-    overlay_phases: Vec<f32>,
-    /// `phase_sins[overlay_dims[j]]` at index `j`, kept like
-    /// `overlay_phases`.
-    overlay_phase_sins: Vec<f32>,
-    /// `m × n` overlay base vectors, one row per evicted dim.
-    overlay_rows: Matrix,
-    /// `overlay_rows` transposed into the GEMM's packed panel layout — the
-    /// right-hand side of the overlay GEMM, rebuilt once per
-    /// [`RegenerativeEncoder::regenerate`] call so the encode hot path
-    /// never re-transposes or repacks.
-    overlay_panel: PackedRhs,
+    /// Dim → reserve lane, [`Self::FREE_LANE`] while on the backbone.
+    dim_lanes: Vec<u32>,
+    /// Reserve lane → owning dim, [`Self::FREE_LANE`] for a free lane:
+    /// `reserve.len() · block_dim` entries.
+    lane_dims: Vec<u32>,
+    /// `phases` in lane order (unread on free lanes), so each reserve
+    /// block runs one `half_angle_row`.  Written with `phases` by every
+    /// regeneration.
+    lane_phases: Vec<f32>,
+    /// `phase_sins` in lane order, kept like `lane_phases`.
+    lane_phase_sins: Vec<f32>,
     /// Butterfly pass order reported by `fht_schedule` (never persisted;
     /// ascending is the only order the transforms run).
     schedule: FhtSchedule,
     regenerated: u64,
-}
-
-/// Packs the `m × n` overlay rows as the `n × m` right-hand side of the
-/// overlay GEMM: row `j` becomes panel column `j`.
-fn pack_overlay(overlay_rows: &Matrix) -> PackedRhs {
-    let mut panel = PackedRhs::new(overlay_rows.cols(), overlay_rows.rows());
-    for (j, row) in overlay_rows.iter_rows().enumerate() {
-        for (slot, &v) in panel.column_slots(j).zip(row) {
-            *slot = v;
-        }
-    }
-    panel
 }
 
 /// Whether `block_dim` selects the half-block construction for the shape
@@ -235,6 +225,35 @@ fn block_transform_dim(half_mode: bool, remaining: usize, block_dim: usize) -> u
     }
 }
 
+/// Window start, window length and scale of block number `index` (counted
+/// over the backbone, then the reserve) with `transform_dim` lanes.
+fn block_window(
+    input_dim: usize,
+    base_std: f32,
+    half_mode: bool,
+    index: usize,
+    transform_dim: usize,
+) -> (usize, usize, f32) {
+    if half_mode {
+        // Alternate window families so the two halves of the feature range
+        // are both covered: even blocks read the head, odd blocks the
+        // tail.  Implicit row norm base_std·√F (the dense encoder's
+        // expected row norm): rows of H·S·H·S·H·S have norm
+        // transform_dim^1.5.
+        let start = if index.is_multiple_of(2) {
+            0
+        } else {
+            input_dim - transform_dim
+        };
+        let scale =
+            base_std * (input_dim as f32 / transform_dim as f32).sqrt() / transform_dim as f32;
+        (start, transform_dim, scale)
+    } else {
+        // Implicit row norm base_std·√d over the padded lanes.
+        (0, input_dim, base_std / transform_dim as f32)
+    }
+}
+
 /// Builds the per-block shapes for `(input_dim, output_dim, block_dim)`,
 /// or `None` if `block_dim` is not a valid plan parameter for the shape.
 fn plan_blocks(
@@ -250,24 +269,9 @@ fn plan_blocks(
     for b in 0..blocks {
         let out_start = b * block_dim;
         let remaining = output_dim - out_start;
-        let (transform_dim, window_start, window_len) = if half_mode {
-            let td = block_transform_dim(true, remaining, block_dim);
-            // Alternate window families so the two halves of the feature
-            // range are both covered: even blocks read the head, odd
-            // blocks the tail.
-            let start = if b % 2 == 0 { 0 } else { input_dim - td };
-            (td, start, td)
-        } else {
-            (block_dim, 0, input_dim)
-        };
-        let scale = if half_mode {
-            // Implicit row norm base_std·√F (the dense encoder's expected
-            // row norm): rows of H·S·H·S·H·S have norm transform_dim^1.5.
-            base_std * (input_dim as f32 / transform_dim as f32).sqrt() / transform_dim as f32
-        } else {
-            // Implicit row norm base_std·√d over the padded lanes.
-            base_std / transform_dim as f32
-        };
+        let transform_dim = block_transform_dim(half_mode, remaining, block_dim);
+        let (window_start, window_len, scale) =
+            block_window(input_dim, base_std, half_mode, b, transform_dim);
         specs.push(BlockSpec {
             sign_offset,
             transform_dim,
@@ -290,7 +294,20 @@ fn half_block_eligible(input_dim: usize) -> bool {
     full >= 2 && 4 * input_dim <= 3 * full
 }
 
+/// One Rademacher sign as `±1.0`, the draw every sign diagonal uses.
+fn draw_sign(rng: &mut SeededRng) -> f32 {
+    if rng.next_bool(0.5) {
+        1.0
+    } else {
+        -1.0
+    }
+}
+
 impl StructuredRbfEncoder {
+    /// Lane-map entry of a free reserve lane (and dim-map entry of a dim
+    /// still on the backbone).
+    pub const FREE_LANE: u32 = u32::MAX;
+
     /// Creates a structured encoder for `input_dim` features and
     /// `output_dim` hyperdimensions with the default bandwidth.
     pub fn new(input_dim: usize, output_dim: usize, seed: RngSeed) -> Self {
@@ -323,9 +340,7 @@ impl StructuredRbfEncoder {
             .expect("default block_dim is always a valid plan parameter");
         let sign_count: usize = blocks.iter().map(|s| 3 * s.transform_dim).sum();
         let mut rng = SeededRng::derive_stream(seed, 0x50FF);
-        let signs: Vec<f32> = (0..sign_count)
-            .map(|_| if rng.next_bool(0.5) { 1.0 } else { -1.0 })
-            .collect();
+        let signs: Vec<f32> = (0..sign_count).map(|_| draw_sign(&mut rng)).collect();
         let phases = Uniform::phase().sample_vec(&mut rng, output_dim);
         let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
         Self {
@@ -334,15 +349,14 @@ impl StructuredRbfEncoder {
             base_std,
             block_dim,
             blocks,
+            reserve: Vec::new(),
             signs,
             phases,
             phase_sins,
-            overlay_index: vec![NOT_OVERLAID; output_dim],
-            overlay_dims: Vec::new(),
-            overlay_phases: Vec::new(),
-            overlay_phase_sins: Vec::new(),
-            overlay_rows: Matrix::zeros(0, input_dim),
-            overlay_panel: PackedRhs::new(input_dim, 0),
+            dim_lanes: vec![Self::FREE_LANE; output_dim],
+            lane_dims: Vec::new(),
+            lane_phases: Vec::new(),
+            lane_phase_sins: Vec::new(),
             schedule: FhtSchedule::default(),
             regenerated: 0,
         }
@@ -360,9 +374,10 @@ impl StructuredRbfEncoder {
         }
     }
 
-    /// Total sign entries implied by a `(input_dim, output_dim,
+    /// Backbone sign entries implied by a `(input_dim, output_dim,
     /// block_dim)` plan, or `None` if `block_dim` is not a valid plan
     /// parameter for the shape — the persistence layer's size check.
+    /// Each reserve block adds `3 · block_dim` more.
     ///
     /// Computed in closed form, without building the plan, because the
     /// loader calls it on untrusted header values: every block but the
@@ -374,6 +389,15 @@ impl StructuredRbfEncoder {
         (full_blocks * block_dim)
             .checked_add(block_transform_dim(half_mode, last_remaining, block_dim))?
             .checked_mul(3)
+    }
+
+    /// Most reserve lanes an encoder of `output_dim` dims with blocks of
+    /// `block_dim` lanes can hold: `2 · output_dim + block_dim`.  A new
+    /// block is drawn only when every lane is owned or was freed during
+    /// the same call, so at that moment at most `output_dim` lanes are
+    /// owned and at most `output_dim` more were just freed.
+    pub fn reserve_lane_bound(output_dim: usize, block_dim: usize) -> usize {
+        output_dim.saturating_mul(2).saturating_add(block_dim)
     }
 
     /// Per-block transform length parameter (the per-block FHT size;
@@ -392,19 +416,16 @@ impl StructuredRbfEncoder {
         &self.phases
     }
 
-    /// Evicted dimensions in overlay-row order (persistence).
-    pub fn overlay_dims(&self) -> &[usize] {
-        &self.overlay_dims
+    /// Borrows the reserve lane map (persistence): one entry per lane of
+    /// every reserve block, the dim that owns the lane or
+    /// [`Self::FREE_LANE`].
+    pub fn reserve_lanes(&self) -> &[u32] {
+        &self.lane_dims
     }
 
-    /// Borrows the `m × n` overlay base-vector rows (persistence).
-    pub fn overlay_rows(&self) -> &Matrix {
-        &self.overlay_rows
-    }
-
-    /// Total sign entries (`3 · transform_dim` summed over blocks),
-    /// derivable from the shape but exposed so readers can size their
-    /// buffers.
+    /// Total sign entries (`3 · transform_dim` summed over the backbone
+    /// and reserve blocks), derivable from the shape and the reserve size
+    /// but exposed so readers can size their buffers.
     pub fn sign_count(&self) -> usize {
         self.signs.len()
     }
@@ -435,20 +456,21 @@ impl StructuredRbfEncoder {
     /// Reassembles an encoder from persisted parts.
     ///
     /// `packed_signs` is the [`StructuredRbfEncoder::packed_signs`] word
-    /// vector; overlay rows carry one private base vector per entry of
-    /// `overlay_dims`, in order.  `block_dim` selects the construction
-    /// mode: the padded input size (full-pad) or half of it (half-block,
-    /// when eligible).
+    /// vector and `reserve_lanes` the
+    /// [`StructuredRbfEncoder::reserve_lanes`] map, whose length sets the
+    /// reserve block count.  `block_dim` selects the construction mode:
+    /// the padded input size (full-pad) or half of it (half-block, when
+    /// eligible).
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if the dimensions are inconsistent:
-    /// `block_dim` not a valid plan parameter, too few sign words, a phase
-    /// count different from `output_dim`, an overlay shape mismatch, or an
-    /// overlay dim out of range / repeated.
-    // One parameter per persisted field of the DHD2 structured layout; a
-    // builder would only re-spell the format.
-    #[allow(clippy::too_many_arguments)]
+    /// `block_dim` not a valid plan parameter, a lane map that is not a
+    /// whole number of blocks or exceeds
+    /// [`StructuredRbfEncoder::reserve_lane_bound`], a sign word count
+    /// that does not match the backbone plus the reserve, a phase count
+    /// different from `output_dim`, or a lane naming a dim out of range or
+    /// a dim another lane names.
     pub fn from_parts(
         input_dim: usize,
         output_dim: usize,
@@ -456,26 +478,23 @@ impl StructuredRbfEncoder {
         block_dim: usize,
         packed_signs: &[u64],
         phases: Vec<f32>,
-        overlay_dims: Vec<usize>,
-        overlay_rows: Matrix,
+        reserve_lanes: Vec<u32>,
     ) -> Result<Self, ShapeError> {
+        let error = |got, expected| Err(ShapeError::new("structured_from_parts", got, expected));
         let blocks = match plan_blocks(input_dim, output_dim, base_std, block_dim) {
             Some(blocks) if phases.len() == output_dim => blocks,
-            _ => {
-                return Err(ShapeError::new(
-                    "structured_from_parts",
-                    (input_dim, output_dim),
-                    (block_dim, phases.len()),
-                ));
-            }
+            _ => return error((input_dim, output_dim), (block_dim, phases.len())),
         };
-        let sign_count: usize = blocks.iter().map(|s| 3 * s.transform_dim).sum();
+        let lane_count = reserve_lanes.len();
+        if !lane_count.is_multiple_of(block_dim)
+            || lane_count > Self::reserve_lane_bound(output_dim, block_dim)
+        {
+            return error((lane_count, block_dim), (output_dim, block_dim));
+        }
+        let backbone_signs: usize = blocks.iter().map(|s| 3 * s.transform_dim).sum();
+        let sign_count = backbone_signs + 3 * lane_count;
         if packed_signs.len() != sign_count.div_ceil(64) {
-            return Err(ShapeError::new(
-                "structured_from_parts",
-                (sign_count, 0),
-                (packed_signs.len(), 64),
-            ));
+            return error((sign_count, 0), (packed_signs.len(), 64));
         }
         let signs: Vec<f32> = (0..sign_count)
             .map(|i| {
@@ -486,62 +505,95 @@ impl StructuredRbfEncoder {
                 }
             })
             .collect();
-        if overlay_rows.shape() != (overlay_dims.len(), input_dim) {
-            return Err(ShapeError::new(
-                "structured_from_parts",
-                overlay_rows.shape(),
-                (overlay_dims.len(), input_dim),
-            ));
-        }
-        let mut overlay_index = vec![NOT_OVERLAID; output_dim];
-        for (j, &d) in overlay_dims.iter().enumerate() {
-            if d >= output_dim || overlay_index[d] != NOT_OVERLAID {
-                return Err(ShapeError::new(
-                    "structured_from_parts",
-                    (d, j),
-                    (output_dim, overlay_dims.len()),
-                ));
+        let mut dim_lanes = vec![Self::FREE_LANE; output_dim];
+        for (lane, &dim) in reserve_lanes.iter().enumerate() {
+            if dim == Self::FREE_LANE {
+                continue;
             }
-            overlay_index[d] = j as u32;
+            let d = dim as usize;
+            if d >= output_dim || dim_lanes[d] != Self::FREE_LANE {
+                return error((d, lane), (output_dim, lane_count));
+            }
+            dim_lanes[d] = lane as u32;
         }
         let phase_sins: Vec<f32> = phases.iter().map(|&c| sin_det(c)).collect();
-        let overlay_phases = overlay_dims.iter().map(|&d| phases[d]).collect();
-        let overlay_phase_sins = overlay_dims.iter().map(|&d| phase_sins[d]).collect();
-        let overlay_panel = pack_overlay(&overlay_rows);
-        Ok(Self {
+        let lane_phase = |values: &[f32]| -> Vec<f32> {
+            reserve_lanes
+                .iter()
+                .map(|&dim| values.get(dim as usize).copied().unwrap_or(0.0))
+                .collect()
+        };
+        let lane_phases = lane_phase(&phases);
+        let lane_phase_sins = lane_phase(&phase_sins);
+        let mut encoder = Self {
             input_dim,
             output_dim,
             base_std,
             block_dim,
             blocks,
+            reserve: Vec::new(),
             signs,
             phases,
             phase_sins,
-            overlay_index,
-            overlay_dims,
-            overlay_phases,
-            overlay_phase_sins,
-            overlay_rows,
-            overlay_panel,
+            dim_lanes,
+            lane_dims: reserve_lanes,
+            lane_phases,
+            lane_phase_sins,
             schedule: FhtSchedule::default(),
             regenerated: 0,
-        })
+        };
+        encoder.reserve = (0..lane_count / block_dim)
+            .map(|r| encoder.reserve_spec(r))
+            .collect();
+        Ok(encoder)
     }
 
-    /// Number of dimensions currently evicted into the dense overlay.
-    pub fn overlay_len(&self) -> usize {
-        self.overlay_dims.len()
+    /// Spec of reserve block `r`: a full `block_dim`-lane transform at
+    /// block index `backbone + r` of the window rotation, its signs after
+    /// the backbone's and those of the reserve blocks before it.
+    fn reserve_spec(&self, r: usize) -> BlockSpec {
+        let backbone_signs: usize = self.blocks.iter().map(|s| 3 * s.transform_dim).sum();
+        let half_mode = self.block_dim != self.input_dim.next_power_of_two();
+        let (window_start, window_len, scale) = block_window(
+            self.input_dim,
+            self.base_std,
+            half_mode,
+            self.blocks.len() + r,
+            self.block_dim,
+        );
+        BlockSpec {
+            sign_offset: backbone_signs + 3 * self.block_dim * r,
+            transform_dim: self.block_dim,
+            window_start,
+            window_len,
+            out_start: r * self.block_dim,
+            out_width: self.block_dim,
+            scale,
+        }
+    }
+
+    /// Draws a new reserve block's `3 · block_dim` signs from `rng` and
+    /// appends its lanes, all free.
+    fn push_reserve_block(&mut self, rng: &mut SeededRng) {
+        let spec = self.reserve_spec(self.reserve.len());
+        debug_assert_eq!(spec.sign_offset, self.signs.len());
+        self.signs
+            .extend((0..3 * self.block_dim).map(|_| draw_sign(rng)));
+        self.reserve.push(spec);
+        let lanes = self.lane_dims.len() + self.block_dim;
+        self.lane_dims.resize(lanes, Self::FREE_LANE);
+        self.lane_phases.resize(lanes, 0.0);
+        self.lane_phase_sins.resize(lanes, 0.0);
     }
 
     /// Raw block transform: `scratch ← H·(s₃ ⊙ H·(s₂ ⊙ H·(s₁ ⊙ x_win)))`
-    /// for block `b`, with the `s₁` multiply fused into the window copy
+    /// for one block, with the `s₁` multiply fused into the window copy
     /// and `s₂`/`s₃` fused into their transforms' first passes (all
     /// bit-identical to multiplying first).  A full-pad window's zero tail
     /// is transformed like any other lane.  No scale or nonlinearity —
     /// shared verbatim by the batch encode and the partial re-encode so
     /// both are bit-identical.
-    fn transform_block(&self, features: &[f32], b: usize, scratch: &mut [f32]) {
-        let spec = &self.blocks[b];
+    fn transform_block(&self, features: &[f32], spec: &BlockSpec, scratch: &mut [f32]) {
         let td = spec.transform_dim;
         let scratch = &mut scratch[..td];
         let signs = &self.signs[spec.sign_offset..spec.sign_offset + 3 * td];
@@ -557,13 +609,14 @@ impl StructuredRbfEncoder {
         fht_inplace_signed(scratch, s3);
     }
 
-    /// Structured pass for one sample: every output dimension through the
-    /// block transforms, scale and half-angle epilogue.  Overlaid columns
-    /// are computed too; the caller's overlay pass overwrites them.
-    fn encode_structured_row(&self, features: &[f32], out: &mut [f32], scratch: &mut [f32]) {
+    /// Encodes one sample into `out`: every backbone block through its
+    /// transform, scale and half-angle epilogue, then every reserve block
+    /// the same way with its phases in lane order, scattered to the dims
+    /// that own its lanes (overwriting their backbone values).
+    fn encode_row(&self, features: &[f32], out: &mut [f32], scratch: &mut [f32]) {
         debug_assert_eq!(out.len(), self.output_dim);
-        for (b, spec) in self.blocks.iter().enumerate() {
-            self.transform_block(features, b, scratch);
+        for spec in &self.blocks {
+            self.transform_block(features, spec, scratch);
             // One vectorized half-angle store over the block's whole
             // consumed width — bit-identical to the scalar
             // `half_angle_cosine` loop (the row kernel's contract).
@@ -577,38 +630,50 @@ impl StructuredRbfEncoder {
                 &self.phase_sins[dims],
             );
         }
+        for spec in &self.reserve {
+            self.transform_block(features, spec, scratch);
+            let lanes = spec.out_start..spec.out_start + spec.out_width;
+            let values = &mut scratch[..spec.out_width];
+            half_angle_row(
+                values,
+                spec.scale,
+                &self.lane_phases[lanes.clone()],
+                &self.lane_phase_sins[lanes.clone()],
+            );
+            for (&dim, &value) in self.lane_dims[lanes].iter().zip(values.iter()) {
+                if dim != Self::FREE_LANE {
+                    out[dim as usize] = value;
+                }
+            }
+        }
     }
 
-    /// Overlay epilogue for one sample: runs the half-angle map over the
-    /// raw overlay projections `patch` (overlay order, unit scale — an
-    /// exact no-op) and scatters the results into the overlaid columns of
-    /// the encoded row `out`.
-    fn finish_overlay(&self, patch: &mut [f32], out: &mut [f32]) {
-        half_angle_row(patch, 1.0, &self.overlay_phases, &self.overlay_phase_sins);
-        for (&dim, &value) in self.overlay_dims.iter().zip(patch.iter()) {
-            out[dim] = value;
+    /// Runs `unit(first_row, rows)` over `values`, the `rows × output_dim`
+    /// output of a batch: serially for small batches — the pool's
+    /// fork/join cost exceeds the butterfly work — and otherwise in fixed
+    /// shape-derived chunks fanned over the pool (bit-identical at any
+    /// thread count).
+    fn for_row_chunks<F>(&self, rows: usize, values: &mut [f32], unit: F)
+    where
+        F: Fn(usize, &mut [f32]) + Sync,
+    {
+        if rows * self.output_dim < ENCODE_PAR_MIN_ELEMS {
+            unit(0, values);
+        } else {
+            let chunk_rows = encode_chunk_rows(self.output_dim);
+            parallel::par_chunks_mut(values, chunk_rows * self.output_dim, |chunk, rows| {
+                unit(chunk * chunk_rows, rows)
+            });
         }
     }
 
     /// Encodes rows `first_row..` of `batch` into `values` (whole
-    /// `output_dim`-wide rows): the structured pass per row, then one
-    /// overlay GEMM over the chunk's rows and the overlay epilogue per
-    /// row.  The work unit of every batch encode, f32 and quantized.
+    /// `output_dim`-wide rows).  The work unit of every batch encode, f32
+    /// and quantized.
     fn encode_rows(&self, batch: &Matrix, first_row: usize, values: &mut [f32]) {
-        let cols = self.output_dim;
         let mut scratch = vec![0.0f32; self.block_dim];
-        for (i, row) in values.chunks_exact_mut(cols).enumerate() {
-            self.encode_structured_row(batch.row(first_row + i), row, &mut scratch);
-        }
-        let m = self.overlay_dims.len();
-        if m > 0 {
-            let mut patch = vec![0.0f32; values.len() / cols * m];
-            batch
-                .matmul_rows_into(&self.overlay_panel, first_row, &mut patch)
-                .expect("overlay panel inner dim is input_dim");
-            for (row, patch_row) in values.chunks_exact_mut(cols).zip(patch.chunks_exact_mut(m)) {
-                self.finish_overlay(patch_row, row);
-            }
+        for (i, row) in values.chunks_exact_mut(self.output_dim).enumerate() {
+            self.encode_row(batch.row(first_row + i), row, &mut scratch);
         }
     }
 
@@ -616,11 +681,13 @@ impl StructuredRbfEncoder {
     /// (the partial update Algorithm 2 relies on — see
     /// [`super::RbfEncoder::reencode_dims`]).
     ///
-    /// Overlaid dims recompute through one GEMM against a panel of their
-    /// private dense base rows; still-structured dims re-run their block's
-    /// transform (grouped per block so the FHT cost is paid once per block
-    /// per sample).  Both are bit-identical to a full
-    /// [`Encoder::encode_batch`].  Out-of-range dims are ignored.
+    /// The dims are grouped by the block that computes them — a backbone
+    /// block, or the reserve block holding their lane — so each block's
+    /// transform runs once per sample, and the rows fan out over the pool
+    /// in the batch encode's chunks.  Every value is the same transform
+    /// and epilogue as a full [`Encoder::encode_batch`], so the result is
+    /// bit-identical to it at any thread count.  Out-of-range dims are
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -646,68 +713,57 @@ impl StructuredRbfEncoder {
                 (batch.rows(), self.output_dim),
             ));
         }
-        let mut structured_by_block: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut overlaid = Vec::new();
-        for &dim in dims {
-            if dim >= self.output_dim {
-                continue;
-            }
-            if self.overlay_index[dim] == NOT_OVERLAID {
-                structured_by_block
-                    .entry(dim / self.block_dim)
-                    .or_default()
-                    .push(dim);
+        // Block index (backbone blocks, then reserve blocks) → (offset of
+        // the dim's output in the block, dim).
+        let mut by_block: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+        for &dim in dims.iter().filter(|&&dim| dim < self.output_dim) {
+            let lane = self.dim_lanes[dim];
+            let (block, offset) = if lane == Self::FREE_LANE {
+                (dim / self.block_dim, dim % self.block_dim)
             } else {
-                overlaid.push(dim);
-            }
+                let lane = lane as usize;
+                (
+                    self.blocks.len() + lane / self.block_dim,
+                    lane % self.block_dim,
+                )
+            };
+            by_block.entry(block).or_default().push((offset, dim));
         }
-        // Overlaid dims: one product against a panel of just their private
-        // base rows.
-        let mut panel = PackedRhs::new(self.input_dim, overlaid.len());
-        for (col, &dim) in overlaid.iter().enumerate() {
-            let base = self.overlay_rows.row(self.overlay_index[dim] as usize);
-            for (slot, &v) in panel.column_slots(col).zip(base) {
-                *slot = v;
-            }
+        if by_block.is_empty() {
+            return Ok(());
         }
-        super::reencode_columns(
-            batch,
-            encoded,
-            &panel,
-            &overlaid,
-            &self.phases,
-            &self.phase_sins,
-        );
-        if !structured_by_block.is_empty() {
+        let width = self.output_dim;
+        self.for_row_chunks(batch.rows(), encoded.as_mut_slice(), |first_row, rows| {
             let mut scratch = vec![0.0f32; self.block_dim];
-            for (&b, block_dims) in &structured_by_block {
-                let spec = &self.blocks[b];
-                for r in 0..batch.rows() {
-                    self.transform_block(batch.row(r), b, &mut scratch);
-                    for &dim in block_dims {
-                        let value = half_angle_cosine(
-                            scratch[dim - spec.out_start] * spec.scale,
+            for (i, row) in rows.chunks_exact_mut(width).enumerate() {
+                for (&block, members) in &by_block {
+                    let spec = self
+                        .blocks
+                        .get(block)
+                        .unwrap_or_else(|| &self.reserve[block - self.blocks.len()]);
+                    self.transform_block(batch.row(first_row + i), spec, &mut scratch);
+                    for &(offset, dim) in members {
+                        row[dim] = half_angle_cosine(
+                            scratch[offset] * spec.scale,
                             self.phases[dim],
                             self.phase_sins[dim],
                         );
-                        encoded.set(r, dim, value);
                     }
                 }
             }
-        }
+        });
         Ok(())
     }
 
-    /// Fused bit-sliced batch encode: FHT backbone, overlay patch,
+    /// Fused bit-sliced batch encode: FHT backbone, reserve lanes,
     /// optional centering and quantization, written straight into packed
     /// words — no full-precision output matrix is ever materialized.
     ///
     /// Each chunk of rows runs the very work unit of the f32
     /// [`Encoder::encode_batch`] path (per-row block transforms plus
-    /// [`disthd_linalg::half_angle_row`], then the overlay GEMM via
-    /// [`Matrix::matmul_rows_into`] and its row epilogue), so the result
-    /// equals quantizing the centered f32 encode of the same batch **bit
-    /// for bit**, at every kernel tier and thread count.
+    /// [`disthd_linalg::half_angle_row`]), so the result equals quantizing
+    /// the centered f32 encode of the same batch **bit for bit**, at every
+    /// kernel tier and thread count.
     ///
     /// # Errors
     ///
@@ -773,15 +829,7 @@ impl Encoder for StructuredRbfEncoder {
         }
         let mut out = vec![0.0f32; self.output_dim];
         let mut scratch = vec![0.0f32; self.block_dim];
-        self.encode_structured_row(features, &mut out, &mut scratch);
-        // The GEMM's per-element chain, so a single encode equals its row
-        // of `encode_batch` bit for bit.
-        let mut patch: Vec<f32> = self
-            .overlay_rows
-            .iter_rows()
-            .map(|base| dot_gemm_order(features, base))
-            .collect();
-        self.finish_overlay(&mut patch, &mut out);
+        self.encode_row(features, &mut out, &mut scratch);
         Ok(out)
     }
 
@@ -797,62 +845,60 @@ impl Encoder for StructuredRbfEncoder {
         if out.is_empty() {
             return Ok(out);
         }
-        // Small batches run serially — the pool's fork/join cost exceeds
-        // the butterfly work — and larger ones fan out in fixed
-        // shape-derived chunks (bit-identical at any thread count).  Each
-        // work unit runs the structured pass and the overlay GEMM over its
-        // own rows, with thread-private scratch.
-        if batch.rows() * self.output_dim < ENCODE_PAR_MIN_ELEMS {
-            self.encode_rows(batch, 0, out.as_mut_slice());
-        } else {
-            let chunk_rows = encode_chunk_rows(self.output_dim);
-            parallel::par_chunks_mut(
-                out.as_mut_slice(),
-                chunk_rows * self.output_dim,
-                |chunk_index, chunk| self.encode_rows(batch, chunk_index * chunk_rows, chunk),
-            );
-        }
+        self.for_row_chunks(batch.rows(), out.as_mut_slice(), |first_row, rows| {
+            self.encode_rows(batch, first_row, rows)
+        });
         Ok(out)
     }
 }
 
 impl RegenerativeEncoder for StructuredRbfEncoder {
+    /// Moves each dim to a fresh reserve lane with a fresh phase; see the
+    /// type docs for which lane.  Repeated dims in one call are
+    /// regenerated once.
     fn regenerate(&mut self, dims: &[usize], rng: &mut SeededRng) {
-        let gaussian = Gaussian::new(0.0, self.base_std);
         let phase = Uniform::phase();
-        let mut column = vec![0.0f32; self.input_dim];
+        // Lanes of the newest block above its highest owned lane are
+        // handed out in order; every other lane free before this call is
+        // recycled lowest first.  Lanes freed below are in neither list,
+        // so no dim gets its own lane back.
+        let newest = self.lane_dims.len().saturating_sub(self.block_dim);
+        let mut fresh = self.lane_dims[newest..]
+            .iter()
+            .rposition(|&dim| dim != Self::FREE_LANE)
+            .map_or(newest, |i| newest + i + 1);
+        let mut dead = (0..fresh)
+            .filter(|&lane| self.lane_dims[lane] == Self::FREE_LANE)
+            .collect::<Vec<_>>()
+            .into_iter();
+        let mut seen = vec![false; self.output_dim];
         for &dim in dims {
-            if dim >= self.output_dim {
+            if dim >= self.output_dim || std::mem::replace(&mut seen[dim], true) {
                 continue;
             }
-            // Same draw pattern as the dense encoder: n Gaussians for the
-            // base vector, then one phase.
-            gaussian.fill(rng, &mut column);
+            let lane = if fresh < self.lane_dims.len() {
+                fresh += 1;
+                fresh - 1
+            } else if let Some(lane) = dead.next() {
+                lane
+            } else {
+                self.push_reserve_block(rng);
+                fresh += 1;
+                fresh - 1
+            };
             let new_phase = phase.sample(rng);
             let new_phase_sin = sin_det(new_phase);
-            let j = self.overlay_index[dim];
-            if j == NOT_OVERLAID {
-                self.overlay_index[dim] = self.overlay_dims.len() as u32;
-                self.overlay_dims.push(dim);
-                self.overlay_phases.push(new_phase);
-                self.overlay_phase_sins.push(new_phase_sin);
-                self.overlay_rows
-                    .push_row(&column)
-                    .expect("overlay row width is input_dim by construction");
-            } else {
-                let j = j as usize;
-                self.overlay_phases[j] = new_phase;
-                self.overlay_phase_sins[j] = new_phase_sin;
-                self.overlay_rows.row_mut(j).copy_from_slice(&column);
+            let old = self.dim_lanes[dim];
+            if old != Self::FREE_LANE {
+                self.lane_dims[old as usize] = Self::FREE_LANE;
             }
+            self.dim_lanes[dim] = lane as u32;
+            self.lane_dims[lane] = dim as u32;
+            self.lane_phases[lane] = new_phase;
+            self.lane_phase_sins[lane] = new_phase_sin;
             self.phases[dim] = new_phase;
             self.phase_sins[dim] = new_phase_sin;
             self.regenerated += 1;
-        }
-        if !dims.is_empty() {
-            // The GEMM-side panel is rebuilt once per regeneration call,
-            // never on the encode hot path.
-            self.overlay_panel = pack_overlay(&self.overlay_rows);
         }
     }
 
@@ -864,6 +910,8 @@ impl RegenerativeEncoder for StructuredRbfEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const FREE: u32 = StructuredRbfEncoder::FREE_LANE;
 
     fn encoder() -> StructuredRbfEncoder {
         StructuredRbfEncoder::new(6, 200, RngSeed(42))
@@ -889,9 +937,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_encode_matches_single_encode_exactly_without_overlay() {
+    fn batch_encode_matches_single_encode_on_a_fresh_encoder() {
         // The structured pass is the very same code for single and batch
-        // encoding, so with no overlay the results are bit-identical.
+        // encoding, so the results are bit-identical.
         let enc = encoder();
         let rows = vec![
             vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
@@ -906,74 +954,130 @@ mod tests {
     }
 
     #[test]
-    fn batch_encode_matches_single_encode_with_overlay() {
-        // The overlay runs through the GEMM in batch mode and through
-        // `dot_gemm_order` in single mode: the same chain, so the same bits.
+    fn reserve_lanes_follow_the_draw_order() {
+        // F = 6: half-block lanes of 4, and D = 200 makes 50 backbone
+        // blocks.  Each dim takes a lane in call order; a dim that needs a
+        // new block draws its 12 signs before its phase.  The repeated dim
+        // and the out-of-range one draw nothing.
         let mut enc = encoder();
-        let mut rng = SeededRng::new(RngSeed(5));
-        enc.regenerate(&[0, 7, 100, 199], &mut rng);
-        let rows = vec![
-            vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-            vec![-1.0, 0.0, 1.0, 0.5, -0.5, 0.25],
-        ];
-        let batch = Matrix::from_rows(&rows).unwrap();
-        let encoded = enc.encode_batch(&batch).unwrap();
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(
-                encoded.row(r),
-                enc.encode(row).unwrap().as_slice(),
-                "row {r}"
-            );
+        let backbone_signs = enc.sign_count();
+        let mut rng = SeededRng::new(RngSeed(8));
+        let mut replay = rng.clone();
+        enc.regenerate(&[9, 2, 150, 9, 77, 31, 5000], &mut rng);
+        let phase = Uniform::phase();
+        let mut signs = Vec::new();
+        for (dim, new_block) in [(9, true), (2, false), (150, false), (77, false), (31, true)] {
+            if new_block {
+                signs.extend((0..12).map(|_| draw_sign(&mut replay)));
+            }
+            let drawn = phase.sample(&mut replay);
+            assert_eq!(enc.phases()[dim].to_bits(), drawn.to_bits(), "dim {dim}");
+        }
+        assert_eq!(enc.signs[backbone_signs..], signs[..]);
+        assert_eq!(rng.next_u64(), replay.next_u64(), "same number of draws");
+        assert_eq!(enc.reserve_lanes(), &[9, 2, 150, 77, 31, FREE, FREE, FREE]);
+        assert_eq!(enc.regenerated_count(), 5);
+        // The reserve continues the backbone's head/tail window rotation
+        // (blocks 50 and 51) with the scale of a full backbone block.
+        assert_eq!(enc.reserve[0].window_start, 0);
+        assert_eq!(enc.reserve[1].window_start, 6 - 4);
+        for spec in &enc.reserve {
+            assert_eq!(spec.scale, enc.blocks[0].scale);
         }
     }
 
     #[test]
-    fn regenerated_overlay_encodes_through_its_packed_panel_bitwise() {
-        // The second call only re-draws a dim the overlay already holds, so
-        // nothing is evicted and the panel must still be rebuilt.  Batch
-        // encode must equal the structured pass plus the per-call-packing
-        // GEMM over the unpacked overlay, bit for bit, after every call.
-        let mut enc = encoder();
-        let mut rng = SeededRng::new(RngSeed(8));
-        let batch = Matrix::from_fn(6, 6, |r, c| ((r * 6 + c) as f32 * 0.37).sin());
-        for dims in [&[4usize, 17, 150][..], &[17], &[150, 3, 500]] {
-            enc.regenerate(dims, &mut rng);
-            let patch = batch
-                .matmul_map(&enc.overlay_rows().transpose(), |j, p| {
-                    let dim = enc.overlay_dims()[j];
-                    half_angle_cosine(p, enc.phases[dim], enc.phase_sins[dim])
-                })
-                .unwrap();
-            let encoded = enc.encode_batch(&batch).unwrap();
-            for r in 0..batch.rows() {
-                let mut expected = enc.encode(batch.row(r)).unwrap();
-                for (j, &dim) in enc.overlay_dims().iter().enumerate() {
-                    expected[dim] = patch.get(r, j);
-                }
-                assert_eq!(encoded.row(r), expected.as_slice(), "{dims:?}, row {r}");
+    fn regeneration_changes_only_selected_dims_and_recycles_lanes_of_earlier_calls() {
+        let mut enc = encoder(); // lanes of 4
+        let input = [0.3, -0.2, 0.7, 0.1, 0.9, -0.4];
+        let before = enc.encode(&input).unwrap();
+        let mut rng = SeededRng::new(RngSeed(99));
+        enc.regenerate(&[3, 5, 11], &mut rng);
+        assert_eq!(enc.reserve_lanes(), &[3, 5, 11, FREE]);
+        let after = enc.encode(&input).unwrap();
+        for i in 0..enc.output_dim() {
+            if [3, 5, 11].contains(&i) {
+                assert_ne!(before[i], after[i], "dim {i} should change");
+            } else {
+                assert_eq!(before[i], after[i], "dim {i} should be stable");
             }
         }
-        assert_eq!(enc.overlay_dims(), &[4, 17, 150, 3]);
+        // Dim 5 takes the last unused lane of block 0.  No lane was free
+        // before this call, so dim 11 draws block 1 even though dim 5 just
+        // freed lane 1: a lane freed during a call waits for a later one.
+        enc.regenerate(&[5, 11, 40], &mut rng);
+        assert_eq!(enc.reserve_lanes(), &[3, FREE, FREE, 5, 11, 40, FREE, FREE]);
+        let again = enc.encode(&input).unwrap();
+        assert_ne!(again[5], after[5]);
+        assert_ne!(again[11], after[11]);
+        assert_eq!(again[3], after[3]);
+        // The unused lanes 6 and 7 of the newest block go first, then the
+        // lanes freed by the previous call, lowest first.  Lane 0, freed
+        // by dim 3 in this call, is not reused yet, so dim 63 draws block 2.
+        enc.regenerate(&[3, 60, 61, 62, 63], &mut rng);
+        assert_eq!(
+            enc.reserve_lanes(),
+            &[FREE, 61, 62, 5, 11, 40, 3, 60, 63, FREE, FREE, FREE]
+        );
+        assert_eq!(enc.regenerated_count(), 11);
+    }
+
+    #[test]
+    fn single_batch_and_quantized_encodes_agree_bitwise_with_reserve_lanes() {
+        // Three calls, the last recycling lanes the second freed; 200 rows
+        // of 200 dims fan out over the pool.
+        let mut enc = encoder();
+        let mut rng = SeededRng::new(RngSeed(5));
+        enc.regenerate(&[0, 7, 100, 199], &mut rng);
+        enc.regenerate(&[7, 3, 198, 0], &mut rng);
+        enc.regenerate(&[100, 50, 51, 52, 53, 54], &mut rng);
+        assert!(enc.reserve_lanes().len() <= 12);
+        let batch = Matrix::from_fn(200, 6, |r, c| ((r * 6 + c) as f32 * 0.37).sin());
+        let serial = parallel::with_thread_count(1, || enc.encode_batch(&batch).unwrap());
+        for r in 0..batch.rows() {
+            let single = enc.encode(batch.row(r)).unwrap();
+            assert_eq!(serial.row(r), single.as_slice(), "row {r}");
+        }
+        let reference = QuantizedMatrix::quantize(&serial, BitWidth::B8);
+        for threads in [1usize, 4] {
+            let (encoded, quantized) = parallel::with_thread_count(threads, || {
+                (
+                    enc.encode_batch(&batch).unwrap(),
+                    enc.encode_batch_quantized(&batch, None, BitWidth::B8)
+                        .unwrap(),
+                )
+            });
+            assert_eq!(encoded.as_slice(), serial.as_slice(), "{threads} threads");
+            assert_eq!(quantized.as_words(), reference.as_words(), "{threads}");
+            assert_eq!(quantized.scales(), reference.scales(), "{threads}");
+        }
     }
 
     /// Probes every implicit base-row norm by encoding basis vectors
     /// through the raw block transforms (linearity: column `k` of the
-    /// implicit matrix is the transform of `e_k`).
+    /// implicit matrix is the transform of `e_k`); a dim that owns a
+    /// reserve lane takes that lane's row.
     fn implicit_row_norms(enc: &StructuredRbfEncoder) -> Vec<f64> {
         let n = enc.input_dim();
-        let dim = enc.output_dim();
-        let mut row_sq = vec![0.0f64; dim];
+        let mut row_sq = vec![0.0f64; enc.output_dim()];
+        let mut lane_sq = vec![0.0f64; enc.reserve_lanes().len()];
         let mut scratch = vec![0.0f32; enc.block_dim()];
         for k in 0..n {
             let mut e = vec![0.0f32; n];
             e[k] = 1.0;
-            for (b, spec) in enc.blocks.iter().enumerate() {
-                enc.transform_block(&e, b, &mut scratch);
-                for (lane, &raw) in scratch[..spec.out_width].iter().enumerate() {
-                    let dim_index = spec.out_start + lane;
-                    let scaled = f64::from(raw) * f64::from(spec.scale);
-                    row_sq[dim_index] += scaled * scaled;
+            for (specs, sq) in [(&enc.blocks, &mut row_sq), (&enc.reserve, &mut lane_sq)] {
+                for spec in specs {
+                    enc.transform_block(&e, spec, &mut scratch);
+                    for (lane, &raw) in scratch[..spec.out_width].iter().enumerate() {
+                        let scaled = f64::from(raw) * f64::from(spec.scale);
+                        sq[spec.out_start + lane] += scaled * scaled;
+                    }
                 }
+            }
+        }
+        for (&dim, &sq) in enc.reserve_lanes().iter().zip(&lane_sq) {
+            if dim != FREE {
+                row_sq[dim as usize] = sq;
             }
         }
         row_sq.iter().map(|&sq| sq.sqrt()).collect()
@@ -981,11 +1085,16 @@ mod tests {
 
     #[test]
     fn projection_variance_tracks_the_dense_target() {
-        // Full-pad mode (power-of-two input): every implicit row norm must
-        // equal base_std·√d exactly (the construction is orthogonal), the
-        // dense encoder's expected norm for d-dimensional draws.
-        let enc = StructuredRbfEncoder::new(8, 64, RngSeed(3));
+        // Full-pad mode (power-of-two input): every implicit row norm,
+        // reserve lanes included, must equal base_std·√d exactly (the
+        // construction is orthogonal), the dense encoder's expected norm
+        // for d-dimensional draws.
+        let mut enc = StructuredRbfEncoder::new(8, 64, RngSeed(3));
         assert_eq!(enc.block_dim(), 8);
+        let mut rng = SeededRng::new(RngSeed(4));
+        enc.regenerate(&[1, 9, 30, 63, 40, 41, 42, 43, 44], &mut rng);
+        enc.regenerate(&[9, 2], &mut rng);
+        assert_eq!(enc.reserve_lanes().len(), 16);
         let expected = f64::from(enc.base_std) * 8f64.sqrt();
         for (i, &norm) in implicit_row_norms(&enc).iter().enumerate() {
             assert!(
@@ -997,11 +1106,16 @@ mod tests {
 
     #[test]
     fn half_block_row_norms_track_the_dense_target() {
-        // Half-block mode: every implicit row is supported on a window of
-        // h features and scaled so its norm is base_std·√F — the dense
-        // encoder's expected row norm over the *actual* feature count.
-        let enc = encoder(); // F = 6 → d = 8, half-block h = 4
+        // Half-block mode: every implicit row, reserve lanes included, is
+        // supported on a window of h features and scaled so its norm is
+        // base_std·√F — the dense encoder's expected row norm over the
+        // *actual* feature count.
+        let mut enc = encoder(); // F = 6 → d = 8, half-block h = 4
         assert_eq!(enc.block_dim(), 4);
+        let mut rng = SeededRng::new(RngSeed(4));
+        enc.regenerate(&[0, 17, 150, 199, 198], &mut rng);
+        enc.regenerate(&[17, 3], &mut rng);
+        assert_eq!(enc.reserve_lanes().len(), 8);
         let expected = f64::from(enc.base_std) * 6f64.sqrt();
         for (i, &norm) in implicit_row_norms(&enc).iter().enumerate() {
             assert!(
@@ -1013,9 +1127,12 @@ mod tests {
 
     #[test]
     fn half_block_windows_alternate_and_cover_all_features() {
-        let enc = encoder(); // F = 6, h = 4
+        let mut enc = encoder(); // F = 6, h = 4
+        let mut rng = SeededRng::new(RngSeed(4));
+        enc.regenerate(&(0..9).collect::<Vec<_>>(), &mut rng);
+        assert_eq!(enc.reserve.len(), 3);
         let mut covered = [false; 6];
-        for (b, spec) in enc.blocks.iter().enumerate() {
+        for (b, spec) in enc.blocks.iter().chain(&enc.reserve).enumerate() {
             assert_eq!(spec.window_len, spec.transform_dim);
             let expect_start = if b % 2 == 0 {
                 0
@@ -1044,46 +1161,36 @@ mod tests {
     }
 
     #[test]
-    fn regeneration_changes_only_selected_dims_and_evicts_them() {
-        let mut enc = encoder();
-        let input = [0.3, -0.2, 0.7, 0.1, 0.9, -0.4];
-        let before = enc.encode(&input).unwrap();
-        let mut rng = SeededRng::new(RngSeed(99));
-        enc.regenerate(&[3, 5, 11], &mut rng);
-        assert_eq!(enc.overlay_len(), 3);
-        assert_eq!(enc.overlay_dims(), &[3, 5, 11]);
-        let after = enc.encode(&input).unwrap();
-        for i in 0..enc.output_dim() {
-            if [3, 5, 11].contains(&i) {
-                assert_ne!(before[i], after[i], "dim {i} should change");
-            } else {
-                assert_eq!(before[i], after[i], "dim {i} should be stable");
-            }
-        }
-        assert_eq!(enc.regenerated_count(), 3);
-        // Regenerating an already-evicted dim resamples in place, without
-        // growing the overlay.
-        enc.regenerate(&[5], &mut rng);
-        assert_eq!(enc.overlay_len(), 3);
-        let again = enc.encode(&input).unwrap();
-        assert_ne!(again[5], after[5]);
-        assert_eq!(again[3], after[3]);
-    }
-
-    #[test]
     fn regeneration_ignores_out_of_range_dims() {
         let mut enc = encoder();
         let mut rng = SeededRng::new(RngSeed(1));
         enc.regenerate(&[9999], &mut rng);
         assert_eq!(enc.regenerated_count(), 0);
-        assert_eq!(enc.overlay_len(), 0);
+        assert!(enc.reserve_lanes().is_empty());
+    }
+
+    #[test]
+    fn reserve_stays_within_its_bound_under_churn() {
+        // Every call re-draws most of the previous call's dims, the
+        // pattern that fragments the reserve when lanes are never reused.
+        let mut enc = StructuredRbfEncoder::new(6, 64, RngSeed(12));
+        let bound = StructuredRbfEncoder::reserve_lane_bound(64, enc.block_dim());
+        let mut rng = SeededRng::new(RngSeed(13));
+        for call in 0..200usize {
+            let dims: Vec<usize> = (0..64).filter(|d| (d * 7 + call) % 3 != 0).collect();
+            enc.regenerate(&dims, &mut rng);
+            assert!(enc.reserve_lanes().len() <= bound, "call {call}");
+            let owned = enc.reserve_lanes().iter().filter(|&&d| d != FREE).count();
+            let distinct = enc.dim_lanes.iter().filter(|&&l| l != FREE).count();
+            assert_eq!(owned, distinct, "call {call}");
+        }
     }
 
     #[test]
     fn partial_reencode_matches_full_reencode() {
         // 150 rows span three re-encode chunks.  The second regeneration
-        // resamples dims already in the overlay and evicts a new one, and
-        // the re-encode mixes overlaid, structured and out-of-range dims.
+        // moves dims that already own lanes and adds a new one, and the
+        // re-encode mixes reserve, backbone and out-of-range dims.
         let mut enc = encoder();
         let batch = Matrix::from_fn(150, 6, |r, c| ((r * 6 + c) as f32 * 0.13).sin());
         let mut encoded = enc.encode_batch(&batch).unwrap();
@@ -1111,8 +1218,9 @@ mod tests {
 
     #[test]
     fn reencode_of_structured_dims_is_bit_identical_to_encode() {
-        // Re-encoding a dim that was never evicted re-runs the very same
-        // block transform, so the value must match encode_batch bit for bit.
+        // Re-encoding a dim that was never regenerated re-runs the very
+        // same block transform, so the value must match encode_batch bit
+        // for bit.
         let enc = encoder();
         let batch = Matrix::from_rows(&[
             vec![0.2, -0.4, 0.6, 0.1, 0.0, 0.9],
@@ -1134,8 +1242,8 @@ mod tests {
 
     #[test]
     fn reencode_dims_is_bit_identical() {
-        // With dims evicted, reencode of still-structured dims must equal
-        // the full encode bit for bit (the same block transform and
+        // With dims on reserve lanes, reencode of still-backbone dims must
+        // equal the full encode bit for bit (the same block transform and
         // epilogue).
         let mut enc = StructuredRbfEncoder::new(6, 200, RngSeed(77));
         let mut rng = SeededRng::new(RngSeed(78));
@@ -1232,14 +1340,12 @@ mod tests {
             .unwrap();
         let roundtrip = QuantizedMatrix::quantize(&encoded, BitWidth::B8);
         assert_eq!(quantized.as_words(), roundtrip.as_words());
-        // Evict a ragged-tail dim (in [192, 200)) and a regular dim.
+        // Move a ragged-tail dim (in [192, 200)) and a regular dim to
+        // reserve lanes.
         let mut rng = SeededRng::new(RngSeed(13));
         enc.regenerate(&[5, 195], &mut rng);
         let mut after = enc.encode_batch(&batch).unwrap();
         for r in 0..batch.rows() {
-            // Overlaid dims run through the GEMM in batch mode and
-            // `dot_gemm_order` in single mode: the same chain, so the same
-            // bits.
             let single = enc.encode(batch.row(r)).unwrap();
             assert_eq!(
                 after.row(r),
@@ -1269,23 +1375,34 @@ mod tests {
         assert!(enc.reencode_dims(&bad_batch, &mut encoded, &[0]).is_err());
     }
 
-    #[test]
-    fn from_parts_round_trips() {
-        let mut enc = StructuredRbfEncoder::new(6, 100, RngSeed(17));
-        let mut rng = SeededRng::new(RngSeed(18));
-        enc.regenerate(&[4, 50], &mut rng);
-        let rebuilt = StructuredRbfEncoder::from_parts(
-            6,
-            100,
+    fn rebuild(enc: &StructuredRbfEncoder) -> Result<StructuredRbfEncoder, ShapeError> {
+        StructuredRbfEncoder::from_parts(
+            enc.input_dim(),
+            enc.output_dim(),
             enc.base_std(),
             enc.block_dim(),
             &enc.packed_signs(),
             enc.phases().to_vec(),
-            enc.overlay_dims().to_vec(),
-            enc.overlay_rows().clone(),
+            enc.reserve_lanes().to_vec(),
         )
-        .unwrap();
+    }
+
+    #[test]
+    fn from_parts_round_trips_and_regenerates_like_the_original() {
+        // Block 0 ends full with a dead lane (dim 4 moved off lane 0), so
+        // the next call must recycle exactly as the original would.
+        let mut enc = StructuredRbfEncoder::new(6, 100, RngSeed(17));
+        let mut rng = SeededRng::new(RngSeed(18));
+        enc.regenerate(&[4, 50, 51, 52], &mut rng);
+        enc.regenerate(&[4, 60], &mut rng);
+        let mut rebuilt = rebuild(&enc).unwrap();
         let x = [0.3, 0.1, -0.2, 0.8, 0.5, -0.9];
+        assert_eq!(enc.encode(&x).unwrap(), rebuilt.encode(&x).unwrap());
+        let mut replay = rng.clone();
+        enc.regenerate(&[1, 2, 3, 60], &mut rng);
+        rebuilt.regenerate(&[1, 2, 3, 60], &mut replay);
+        assert_eq!(enc.reserve_lanes(), rebuilt.reserve_lanes());
+        assert_eq!(enc.packed_signs(), rebuilt.packed_signs());
         assert_eq!(enc.encode(&x).unwrap(), rebuilt.encode(&x).unwrap());
     }
 
@@ -1307,7 +1424,6 @@ mod tests {
             &vec![u64::MAX; (3 * 13 * 8usize).div_ceil(64)],
             vec![0.25; 100],
             vec![],
-            Matrix::zeros(0, 6),
         )
         .unwrap();
         assert_eq!(full_pad.block_dim(), 8);
@@ -1343,54 +1459,35 @@ mod tests {
 
     #[test]
     fn from_parts_validates_consistency() {
-        let enc = StructuredRbfEncoder::new(6, 100, RngSeed(17));
+        let mut enc = StructuredRbfEncoder::new(6, 100, RngSeed(17));
+        let mut rng = SeededRng::new(RngSeed(18));
+        enc.regenerate(&[4, 50], &mut rng);
+        assert!(rebuild(&enc).is_ok());
+        let with = |block_dim: usize, words: &[u64], lanes: Vec<u32>| {
+            StructuredRbfEncoder::from_parts(
+                6,
+                100,
+                enc.base_std(),
+                block_dim,
+                words,
+                enc.phases().to_vec(),
+                lanes,
+            )
+        };
+        let words = enc.packed_signs();
+        let lanes = enc.reserve_lanes().to_vec();
         // Wrong block_dim.
-        assert!(StructuredRbfEncoder::from_parts(
-            6,
-            100,
-            enc.base_std(),
-            16,
-            &enc.packed_signs(),
-            enc.phases().to_vec(),
-            vec![],
-            Matrix::zeros(0, 6),
-        )
-        .is_err());
+        assert!(with(16, &words, lanes.clone()).is_err());
         // Short sign words.
-        assert!(StructuredRbfEncoder::from_parts(
-            6,
-            100,
-            enc.base_std(),
-            4,
-            &enc.packed_signs()[..enc.packed_signs().len() - 1],
-            enc.phases().to_vec(),
-            vec![],
-            Matrix::zeros(0, 6),
-        )
-        .is_err());
-        // Overlay dim out of range.
-        assert!(StructuredRbfEncoder::from_parts(
-            6,
-            100,
-            enc.base_std(),
-            4,
-            &enc.packed_signs(),
-            enc.phases().to_vec(),
-            vec![500],
-            Matrix::zeros(1, 6),
-        )
-        .is_err());
-        // Duplicate overlay dim.
-        assert!(StructuredRbfEncoder::from_parts(
-            6,
-            100,
-            enc.base_std(),
-            4,
-            &enc.packed_signs(),
-            enc.phases().to_vec(),
-            vec![3, 3],
-            Matrix::zeros(2, 6),
-        )
-        .is_err());
+        assert!(with(4, &words[..words.len() - 1], lanes.clone()).is_err());
+        // A lane naming a dim out of range, a dim named twice, and a map
+        // that is not a whole number of blocks.
+        assert!(with(4, &words, vec![4, 500, FREE, FREE]).is_err());
+        assert!(with(4, &words, vec![4, 4, FREE, FREE]).is_err());
+        assert!(with(4, &words, vec![4, 50, FREE]).is_err());
+        // More lanes than the bound allows, with matching sign words.
+        let lanes = StructuredRbfEncoder::reserve_lane_bound(100, 4) + 4;
+        let signs = 300 + 3 * lanes;
+        assert!(with(4, &vec![0; signs.div_ceil(64)], vec![FREE; lanes]).is_err());
     }
 }

@@ -9,7 +9,7 @@
 
 use disthd::DistHdConfig;
 use disthd_hd::encoder::StructuredRbfEncoder;
-use disthd_linalg::{FhtSchedule, Matrix, RngSeed};
+use disthd_linalg::{FhtSchedule, RngSeed};
 use disthd_serve::ServerOptions;
 
 #[test]
@@ -36,7 +36,6 @@ fn defaults_ignore_serving_and_schedule_environment_variables() {
         &encoder.packed_signs(),
         encoder.phases().to_vec(),
         Vec::new(),
-        Matrix::zeros(0, 6),
     )
     .unwrap();
     assert_eq!(rebuilt.fht_schedule(), FhtSchedule::Ascending);

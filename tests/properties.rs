@@ -190,7 +190,7 @@ proptest! {
     }
 
     /// Structured batch encodes are bit-identical across thread counts
-    /// after regeneration, with the overlay pass in play.
+    /// after regeneration, with the reserve lanes in play.
     #[test]
     fn structured_encode_is_thread_count_invariant(
         rows in proptest::collection::vec(feature_vec(6), 24..32),
@@ -208,7 +208,7 @@ proptest! {
     }
 
     /// `reencode_dims` returns exactly the full encode's values (bitwise)
-    /// on every dim it recomputes, structured or overlaid.
+    /// on every dim it recomputes, on the backbone or on a reserve lane.
     #[test]
     fn reencode_dims_matches_full_encode(
         features in feature_vec(6),
@@ -272,13 +272,15 @@ fn oracle_epilogue(projection: f32, phase: f32) -> f32 {
     half_angle(projection, phase, sin_det(phase))
 }
 
-/// Per-dim scalar oracle of one structured encode.  The block plan is
-/// re-derived from the shape: full-pad blocks read every feature into a
-/// zero-padded transform of `block_dim` lanes; half-block blocks read
-/// alternating head and tail windows, and a ragged last one shrinks to
-/// the next power of two of its width (at least 8 lanes).  Each block is
-/// three sign multiplies and scalar transforms, then the scale and
-/// `half_angle`; overlaid dims are `dot_gemm_order` then `half_angle`.
+/// Per-dim scalar oracle of one structured encode, from the persisted
+/// parts only.  The block plan is re-derived from the shape: full-pad
+/// blocks read every feature into a zero-padded transform of `block_dim`
+/// lanes; half-block blocks read alternating head and tail windows, and a
+/// ragged last one shrinks to the next power of two of its width (at least
+/// 8 lanes).  Reserve blocks follow as full `block_dim`-lane blocks that
+/// continue the window rotation, each lane going to the dim the lane map
+/// names.  Each block is three sign multiplies and scalar transforms, then
+/// the scale and `half_angle`.
 fn structured_oracle(enc: &StructuredRbfEncoder, x: &[f32]) -> Vec<f32> {
     let (f, d, bd) = (enc.input_dim(), enc.output_dim(), enc.block_dim());
     let words = enc.packed_signs();
@@ -292,15 +294,23 @@ fn structured_oracle(enc: &StructuredRbfEncoder, x: &[f32]) -> Vec<f32> {
     let half_block = bd != f.next_power_of_two();
     let base_std = enc.base_std();
     let phases = enc.phases();
-    let mut out = vec![f32::NAN; d];
-    let mut offset = 0;
-    for (b, out_start) in (0..d).step_by(bd).enumerate() {
+    let lane_map = enc.reserve_lanes();
+    // (first output, outputs, transform lanes) of every block; reserve
+    // outputs are lanes.
+    let backbone = (0..d).step_by(bd).map(|out_start| {
         let width = (d - out_start).min(bd);
         let td = if half_block && width < bd {
             width.next_power_of_two().max(8.min(bd))
         } else {
             bd
         };
+        (out_start, width.min(td), td)
+    });
+    let backbone_blocks = d.div_ceil(bd);
+    let reserve = (0..lane_map.len()).step_by(bd).map(|lane| (lane, bd, bd));
+    let mut out = vec![f32::NAN; d];
+    let mut offset = 0;
+    for (b, (out_start, width, td)) in backbone.chain(reserve).enumerate() {
         let (window_start, window_len, scale) = if half_block {
             let start = if b % 2 == 0 { 0 } else { f - td };
             (
@@ -323,15 +333,19 @@ fn structured_oracle(enc: &StructuredRbfEncoder, x: &[f32]) -> Vec<f32> {
             fht_oracle(&mut lanes);
         }
         offset += 3 * td;
-        for (lane, &raw) in lanes[..width.min(td)].iter().enumerate() {
-            let dim = out_start + lane;
+        for (i, &raw) in lanes[..width].iter().enumerate() {
+            let dim = if b < backbone_blocks {
+                out_start + i
+            } else {
+                match lane_map[out_start + i] {
+                    StructuredRbfEncoder::FREE_LANE => continue,
+                    dim => dim as usize,
+                }
+            };
             out[dim] = oracle_epilogue(raw * scale, phases[dim]);
         }
     }
     assert_eq!(offset, enc.sign_count(), "re-derived block plan");
-    for (j, &dim) in enc.overlay_dims().iter().enumerate() {
-        out[dim] = oracle_epilogue(dot_gemm_order(x, enc.overlay_rows().row(j)), phases[dim]);
-    }
     out
 }
 
@@ -401,9 +415,10 @@ fn check_encode_paths(enc: &AnyRbfEncoder, batch: &Matrix, what: &str) {
 
 /// Every encode path of both encoders, bit for bit against one per-dim
 /// scalar oracle: half-block and full-pad structured shapes with ragged
-/// last blocks, about 20 % scattered overlay dims, a second regeneration
-/// that re-draws overlaid dims, `reencode_dims` after each regeneration,
-/// and a DHD save/load.  The 48-row batches are tall enough to fan out
+/// last blocks, about 20 % scattered regenerated dims, a second
+/// regeneration that re-draws half of them, a third that recycles the
+/// lanes the second freed, `reencode_dims` after each regeneration, and a
+/// DHD save/load.  The 48-row batches are tall enough to fan out
 /// over the worker pool, and 8-, 9-, 12- and 17-row batches end in each
 /// GEMM row tile; CI runs this at `DISTHD_THREADS` 1 and 4.
 #[test]
@@ -437,7 +452,9 @@ fn structured_and_dense_encode_paths_match_the_scalar_oracle() {
         };
         check_heights(&enc, &format!("case {case}, fresh"));
         // About 20 % of the dims, scattered; then a second draw that
-        // re-draws half of them and evicts a few more.
+        // re-draws half of them and adds a few more, and a third that
+        // re-draws a third of the first set again, taking the lanes the
+        // second call freed.
         let first: Vec<usize> = (0..d).filter(|i| (i * 2654435761) % 5 == 0).collect();
         let second: Vec<usize> = first
             .iter()
@@ -445,8 +462,10 @@ fn structured_and_dense_encode_paths_match_the_scalar_oracle() {
             .step_by(2)
             .chain([1, d - 1, d + 5])
             .collect();
+        let third: Vec<usize> = first.iter().copied().skip(1).step_by(3).collect();
         let mut rng = SeededRng::new(RngSeed(64 + case as u64));
-        for (round, dims) in [first, second].iter().enumerate() {
+        let mut lane_counts = Vec::new();
+        for (round, dims) in [first, second, third].iter().enumerate() {
             let mut encoded = enc.encode_batch(&batch).expect("encode_batch");
             enc.regenerate(dims, &mut rng);
             let what = format!("case {case}, regeneration {round}");
@@ -460,13 +479,25 @@ fn structured_and_dense_encode_paths_match_the_scalar_oracle() {
                 oracle.as_slice(),
                 &format!("{what}: reencode_dims"),
             );
+            if let AnyRbfEncoder::Structured(e) = &enc {
+                lane_counts.push(e.reserve_lanes().len());
+            }
         }
         if let AnyRbfEncoder::Structured(e) = &enc {
-            assert!(
-                e.overlay_len() > d / 5,
-                "case {case}: overlay of {}",
-                e.overlay_len()
+            // Every distinct regenerated dim owns one lane; the third call
+            // fitted in lanes freed by the second, so the reserve did not
+            // grow, and it stays within 2·D + block_dim.
+            let owned = e
+                .reserve_lanes()
+                .iter()
+                .filter(|&&dim| dim != StructuredRbfEncoder::FREE_LANE)
+                .count();
+            assert!(owned > d / 5, "case {case}: {owned} owned lanes");
+            assert_eq!(
+                lane_counts[2], lane_counts[1],
+                "case {case}: {lane_counts:?}"
             );
+            assert!(lane_counts[2] <= 2 * d + e.block_dim(), "case {case}");
         }
         // DHD save/load rebuilds the encoder through `from_parts`.
         let memory = QuantizedMatrix::quantize(
