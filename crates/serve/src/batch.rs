@@ -1,5 +1,5 @@
 //! Batched task scoring: the one scoring path every [`crate::Server`]
-//! shard runs, plus the batch policy that sizes its batches.
+//! worker runs, plus the batch policy that sizes its batches.
 
 use disthd::DeployedModel;
 use disthd_eval::ModelError;
@@ -136,37 +136,36 @@ pub(crate) fn score_task_batch(
 
 /// The latency-vs-throughput knob of the serving layer.
 ///
-/// `max_batch` is the **batch window**: how many queries a
-/// [`crate::Server`] shard accumulates before it runs one batched encode +
-/// similarity pass.  A window of 1 is classic one-at-a-time serving
-/// (lowest per-query latency, lowest throughput); larger windows amortize
-/// each pass over more queries and multiply throughput at the cost of
-/// queueing delay.  `max_wait` bounds how long a partial batch may wait
-/// for company before it is flushed anyway.
+/// `max_batch` is the **batch window**: the most queued queries a free
+/// [`crate::Server`] worker takes into one batched encode + similarity
+/// pass.  A worker never waits for company: it takes whatever is queued,
+/// so a lone query is scored alone, and batches grow only when queries
+/// pile up while every worker is busy.  A window of 1 is classic
+/// one-at-a-time serving; larger windows amortize each pass over more
+/// queries under load and multiply saturated throughput.
 ///
 /// # Example
 ///
 /// ```
 /// use disthd_serve::BatchPolicy;
-/// use std::time::Duration;
 ///
 /// let throughput_oriented = BatchPolicy::window(64);
 /// assert_eq!(throughput_oriented.max_batch, 64);
-/// // Default: a moderate window with a 1 ms patience cap.
 /// assert_eq!(BatchPolicy::default().max_batch, 32);
-/// assert_eq!(BatchPolicy::default().max_wait, Duration::from_millis(1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum queries coalesced into one batched pass (≥ 1).
     pub max_batch: usize,
-    /// Upper bound a partial batch waits for more arrivals before being
-    /// flushed.
+    /// Not read by the server, which never holds a partial batch back.
+    /// Kept only because the repository benchmark builds `BatchPolicy` as
+    /// a struct literal; it goes with the next change to the benchmark
+    /// (`ROADMAP.md`, item 7).
     pub max_wait: Duration,
 }
 
 impl BatchPolicy {
-    /// Policy with the given batch window and the default 1 ms patience.
+    /// Policy with the given batch window.
     pub fn window(max_batch: usize) -> Self {
         Self {
             max_batch: max_batch.max(1),

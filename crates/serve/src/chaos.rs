@@ -46,7 +46,7 @@ use std::time::Duration;
 pub struct ChaosPlan {
     /// Flush numbers whose scoring pass panics.
     panics: Vec<u64>,
-    /// Flush numbers whose scoring pass first sleeps (slow-shard stall).
+    /// Flush numbers whose scoring pass first sleeps (slow-worker stall).
     stalls: Vec<(u64, Duration)>,
     /// Once set, the plan injects nothing more (soak drills disarm before
     /// measuring the post-chaos baseline).
@@ -68,7 +68,7 @@ impl ChaosPlan {
         }
     }
 
-    /// Adds slow-shard stalls: the worker scoring flush `n` first sleeps
+    /// Adds slow-worker stalls: the worker scoring flush `n` first sleeps
     /// for the paired duration.
     pub fn and_stalls(mut self, stalls: &[(u64, Duration)]) -> Self {
         self.stalls.extend_from_slice(stalls);
@@ -113,7 +113,7 @@ impl ChaosPlan {
         has_faults && !self.disarmed.load(Ordering::Acquire)
     }
 
-    /// Fault gate, called by the shard worker after claiming flush number
+    /// Fault gate, called by the serve worker after claiming flush number
     /// `flush` and immediately before scoring it.
     pub(crate) fn before_score(&self, flush: u64) {
         if self.disarmed.load(Ordering::Acquire) {

@@ -5,32 +5,31 @@
 //! artifact (checksummed `DHD4` container, see `disthd::io`) and live
 //! classification traffic.
 //!
-//! * [`BatchPolicy`] — the latency-vs-throughput knob (batch window +
-//!   patience bound).
+//! * [`BatchPolicy`] — the latency-vs-throughput knob (the batch
+//!   window).
 //! * [`TaskKind`] / [`TaskResponse`] — serving **task types** on the same
 //!   batched path: plain classification, top-k multi-label ranking, and
 //!   one-class anomaly scoring against a calibrated similarity threshold
 //!   (see `disthd::ServingTasks`).  Mixed batches are partitioned by kind
 //!   at flush time, so no answer ever depends on batch composition.
-//! * [`Server`] / [`ServerClient`] — the live, **sharded** server: N
-//!   worker threads (one per shard), each pulling batches from its own
-//!   queue with work stealing, so qps scales with cores.  Each batch is
+//! * [`Server`] / [`ServerClient`] — the live server: N worker threads
+//!   draining one request queue, so qps scales with cores.  A free
+//!   worker takes everything queued, up to the batch window, at once:
+//!   no queued request waits while a worker is idle.  Each batch is
 //!   answered through one batched encode + one similarity pass that reads
 //!   the quantized class words directly (the deployment keeps **no**
 //!   `f32` class snapshot — see `disthd::DeployedModel`); answers are
 //!   bit-identical to the direct `DeployedModel` batch APIs at every batch
-//!   window and shard count.  Admission control sheds requests when a
+//!   window and worker count.  Admission control sheds requests when the
 //!   queue is at capacity ([`ServerOptions::queue_capacity`]) or past
-//!   their opt-in deadline ([`SubmitOptions::deadline`]), and
-//!   [`RetryPolicy`] adds bounded, deterministically-jittered client
-//!   retry on overload.  Workers run
+//!   their opt-in deadline ([`SubmitOptions::deadline`]).  Workers run
 //!   **supervised**: a scoring panic fails its batch's tickets with
 //!   [`ServeError::WorkerFailed`] and the worker restarts (bounded, with
 //!   backoff) instead of killing the server.  Pair with
 //!   [`disthd::DistHd::partial_fit`] for online learning behind a live
 //!   server.
 //! * [`ChaosPlan`] — a seeded, deterministic fault-injection schedule
-//!   (worker panics, slow-shard stalls) for drilling the supervision
+//!   (worker panics, slow-worker stalls) for drilling the supervision
 //!   layer; [`Server::spawn_chaotic`] runs a server under it.
 //! * [`PublishedModel`] — epoch-based snapshot publication: hot-swap and
 //!   rollback **publish** a new immutable model generation that workers
@@ -81,8 +80,7 @@ pub use batch::{AnomalyVerdict, BatchPolicy, TaskKind, TaskResponse};
 pub use chaos::ChaosPlan;
 pub use publish::{ModelReader, PublishedModel};
 pub use server::{
-    Prediction, RetryPolicy, ServeError, Server, ServerClient, ServerOptions, ServerStats,
-    SubmitOptions,
+    Prediction, ServeError, Server, ServerClient, ServerOptions, ServerStats, SubmitOptions,
 };
 pub use snapshot::{SnapshotError, SnapshotStore};
 

@@ -1,6 +1,6 @@
 //! Epoch-based snapshot publication: hot-swap that never blocks a reader.
 //!
-//! The sharded server's scoring workers and its control plane (hot-swap,
+//! The server's scoring workers and its control plane (hot-swap,
 //! install, rollback) communicate through a [`PublishedModel`]: an
 //! [`Arc`]-wrapped immutable deployment plus a monotonically increasing
 //! **epoch** counter.  Writers build a complete replacement generation off

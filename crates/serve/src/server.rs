@@ -1,10 +1,12 @@
-//! The sharded, live serving layer: N batch workers, lock-free hot-swap.
+//! The live serving layer: one request queue, N batch workers, lock-free
+//! hot-swap.
 //!
-//! A [`Server`] spawns one scoring worker per **shard**.  Every worker
-//! owns a batch queue; clients are dealt across the queues round-robin,
-//! and an idle worker steals the oldest queued work from the deepest
-//! other queue, so throughput scales with cores instead of serializing
-//! behind one dispatcher thread (see `DESIGN.md` §9).
+//! A [`Server`] spawns [`ServerOptions::shards`] scoring workers that
+//! share one FIFO queue.  A free worker takes everything queued, up to
+//! [`BatchPolicy::max_batch`], and scores it at once.  A lone request is
+//! therefore answered as soon as a worker is free, and batches still fill
+//! under load, because requests pile up while every worker is busy.  No
+//! queued request waits while a worker is idle (see `DESIGN.md` §9).
 //!
 //! The model itself is **published, not locked**: workers read an
 //! epoch-versioned snapshot ([`crate::PublishedModel`]) that hot-swap and
@@ -19,13 +21,15 @@
 //! [`ServeError::WorkerFailed`] — clients never hang on a dropped
 //! responder — and restarts the worker with a fresh snapshot reader,
 //! bounded by [`ServerOptions::max_worker_restarts`] with exponential
-//! backoff.  A shard that exhausts its restart budget is marked dead:
-//! its queue is failed, admission routes around it, and
-//! [`Server::shutdown`] reports the shard instead of panicking.
+//! backoff.  A worker that exhausts its restart budget exits and the
+//! others keep draining the queue.  When the last worker is gone, the
+//! queue is closed and everything in it fails with
+//! [`ServeError::WorkerFailed`]; [`Server::shutdown`] names the first
+//! dead worker instead of panicking.
 //! Requests may also carry a **deadline** ([`SubmitOptions::deadline`]):
-//! a shard sheds queued work whose deadline passes before its batch
-//! flushes ([`ServeError::DeadlineExceeded`]) rather than serving answers
-//! the client has already abandoned.
+//! a worker sheds a drained request whose deadline has passed
+//! ([`ServeError::DeadlineExceeded`]) rather than serving an answer the
+//! client has already abandoned.
 
 use crate::batch::{score_task_batch, AnomalyVerdict, BatchPolicy, TaskKind, TaskResponse};
 use crate::chaos::ChaosPlan;
@@ -34,7 +38,6 @@ use disthd::DeployedModel;
 use disthd_eval::ModelError;
 use disthd_hd::encoder::Encoder;
 use disthd_hd::quantize::QuantizedMatrix;
-use disthd_linalg::{RngSeed, SeededRng};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -52,22 +55,21 @@ pub enum ServeError {
     Model(ModelError),
     /// The server worker is gone (shut down).
     Disconnected,
-    /// Admission control shed the request: the target shard's queue was at
-    /// capacity.  The client may retry ([`ServerClient::submit_with_retry`]
-    /// does so with jittered backoff); the server sheds instead of letting
-    /// queueing delay grow without bound (see
-    /// [`ServerOptions::queue_capacity`]).
+    /// Admission control shed the request: the queue was at capacity
+    /// ([`ServerOptions::queue_capacity`]).  The server sheds instead of
+    /// letting queueing delay grow without bound; the client may back off
+    /// and resubmit.
     Overloaded,
-    /// The worker scoring this request's batch panicked (the named shard),
-    /// or the shard died after exhausting its restart budget.  The request
-    /// was **not** served; it is safe to resubmit — a restarted worker (or
-    /// another shard) will pick it up.
+    /// The worker scoring this request's batch panicked, or every worker
+    /// has died after exhausting its restart budget.  The request was
+    /// **not** served; while any worker lives it is safe to resubmit — a
+    /// restarted or surviving worker will pick it up.
     WorkerFailed {
-        /// Index of the shard whose worker failed.
+        /// Index of the failed worker, in `0..ServerOptions::shards`.
         shard: usize,
     },
-    /// The request's [`SubmitOptions::deadline`] passed before its batch
-    /// flushed; the shard shed it unscored (see `DESIGN.md` §13).
+    /// The request's [`SubmitOptions::deadline`] passed before a worker
+    /// drained it; it was shed unscored (see `DESIGN.md` §13).
     DeadlineExceeded,
 }
 
@@ -78,10 +80,10 @@ impl fmt::Display for ServeError {
             ServeError::Disconnected => write!(f, "server is no longer running"),
             ServeError::Overloaded => write!(f, "server queue is full; request shed"),
             ServeError::WorkerFailed { shard } => {
-                write!(f, "shard {shard} worker failed; request not served")
+                write!(f, "serve worker {shard} failed; request not served")
             }
             ServeError::DeadlineExceeded => {
-                write!(f, "request deadline passed before its batch flushed")
+                write!(f, "request deadline passed before a worker took it")
             }
         }
     }
@@ -108,14 +110,15 @@ impl From<ModelError> for ServeError {
 /// Deployment options of a [`Server`] beyond the batch policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Number of shard workers (≥ 1).  Each worker scores batches
-    /// independently against the published snapshot, so qps scales with
-    /// shards until the machine runs out of cores.  Defaults to 1.
+    /// Number of batch workers (≥ 1), all draining the server's one
+    /// queue.  Each worker scores batches independently against the
+    /// published snapshot, so saturated qps scales with workers until the
+    /// machine runs out of cores.  Defaults to 1.
     pub shards: usize,
-    /// Per-shard admission bound: a predict request targeting a shard whose
-    /// queue already holds this many waiting queries is shed with
-    /// [`ServeError::Overloaded`] (and counted in
-    /// [`ServerStats::shed`]) instead of queueing unboundedly.
+    /// Capacity of the server's one queue: a predict request submitted
+    /// while it already holds this many waiting queries is shed with
+    /// [`ServeError::Overloaded`] (and counted in [`ServerStats::shed`])
+    /// instead of queueing unboundedly.
     pub queue_capacity: usize,
     /// Score batches through the end-to-end integer pipeline
     /// ([`DeployedModel::predict_quantized_batch`]): the fused quantize
@@ -124,16 +127,17 @@ pub struct ServerOptions {
     /// in `i16` lanes — no `f32` hypervector after featurization.
     /// Defaults to `false`, the f32-query scoring path.
     pub integer_pipeline: bool,
-    /// How many times a shard's supervisor restarts a panicked worker
-    /// before declaring the shard dead (failing its queue with
-    /// [`ServeError::WorkerFailed`] and routing admission around it).
-    /// Restarts back off exponentially (1 ms doubling, capped at 50 ms).
+    /// How many times a worker's supervisor restarts it after a panic
+    /// before the worker exits for good.  The other workers keep serving;
+    /// once the last one has exited, queued and new requests fail with
+    /// [`ServeError::WorkerFailed`].  Restarts back off exponentially
+    /// (1 ms doubling, capped at 50 ms).
     pub max_worker_restarts: usize,
 }
 
-/// Default per-shard admission bound.
+/// Default queue capacity.
 const DEFAULT_QUEUE_CAPACITY: usize = 8192;
-/// Default supervisor restart budget per shard.
+/// Default supervisor restart budget per worker.
 const DEFAULT_MAX_WORKER_RESTARTS: usize = 32;
 
 impl Default for ServerOptions {
@@ -148,7 +152,7 @@ impl Default for ServerOptions {
 }
 
 impl ServerOptions {
-    /// Options with the given shard count and the default admission bound.
+    /// Options with the given worker count and the default queue capacity.
     pub fn sharded(shards: usize) -> Self {
         Self {
             shards: shards.max(1),
@@ -162,13 +166,14 @@ impl ServerOptions {
 pub struct SubmitOptions {
     /// The serving task requested (defaults to classification).
     pub kind: TaskKind,
-    /// Optional deadline, measured from submission: if the request's batch
-    /// has not started scoring within this budget, the shard sheds it with
+    /// Optional deadline, measured from submission: if no worker has taken
+    /// the request off the queue within this budget, because every worker
+    /// was busy, the worker that drains it sheds it with
     /// [`ServeError::DeadlineExceeded`] instead of serving an answer the
-    /// caller has stopped waiting for.  A deadline shorter than the batch's
-    /// natural flush trigger (window fill or [`BatchPolicy::max_wait`]
-    /// patience) is therefore a guarantee to shed unless load fills the
-    /// window first.  `None` (the default) never sheds by time.
+    /// caller has stopped waiting for.  A request is therefore only ever
+    /// shed under load.  A deadline too far out to represent as an
+    /// [`Instant`] never sheds, and `None` (the default) never sheds by
+    /// time.
     pub deadline: Option<Duration>,
 }
 
@@ -205,37 +210,7 @@ impl SubmitOptions {
     }
 }
 
-/// Bounded retry with deterministic jittered exponential backoff for
-/// [`ServeError::Overloaded`] rejections (and only those — every other
-/// error is surfaced immediately).
-///
-/// The jitter is drawn from the in-tree seeded RNG: attempt `i` sleeps
-/// `backoff * 2^i * u` with `u` uniform in `[0.5, 1.0)` derived from
-/// `seed` and `i`, so two clients with different seeds decorrelate their
-/// retry storms while any single run stays replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts including the first (≥ 1).
-    pub attempts: usize,
-    /// Base backoff before the second attempt; doubles each retry.
-    pub backoff: Duration,
-    /// Seed of the jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    /// Four attempts from a 200 µs base: a burst rejection retries within
-    /// roughly a batch window, a sustained overload still fails fast.
-    fn default() -> Self {
-        Self {
-            attempts: 4,
-            backoff: Duration::from_micros(200),
-            seed: 0x00dd_5eed,
-        }
-    }
-}
-
-/// Lifetime counters of a [`Server`], aggregated across shards.
+/// Lifetime counters of a [`Server`], aggregated across workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Queries answered.
@@ -244,61 +219,58 @@ pub struct ServerStats {
     /// integer-similarity pass; a pass that panicked under fault injection
     /// still counts — its batch is in [`ServerStats::failed_batches`]).
     pub flushes: u64,
-    /// Batches an idle worker stole from another shard's queue.
-    pub stolen_batches: u64,
     /// Requests shed by admission control (queue at capacity).
     pub shed: u64,
     /// Requests shed because their [`SubmitOptions::deadline`] passed
-    /// before their batch started scoring.
+    /// before a worker drained them.
     pub deadline_shed: u64,
-    /// Times a supervisor restarted a panicked shard worker.
+    /// Times a supervisor restarted a panicked worker.
     pub worker_restarts: u64,
     /// Batches whose tickets were failed with
     /// [`ServeError::WorkerFailed`] because scoring panicked.
     pub failed_batches: u64,
-    /// Deepest any shard queue has been (admission/backpressure gauge).
+    /// Deepest the queue has been (admission/backpressure gauge).
     pub peak_queue_depth: usize,
 }
 
 /// One queued serving request (any [`TaskKind`]).
 struct Job {
-    /// Enqueue instant; the shard's flush deadline is measured from the
-    /// *oldest* queued job so a trickle of arrivals cannot starve it.
-    at: Instant,
-    /// Absolute shed deadline, if the submission carried one.
+    /// Absolute shed deadline, if the submission carried a representable
+    /// one.
     deadline: Option<Instant>,
     features: Vec<f32>,
     kind: TaskKind,
     reply: Sender<Result<TaskResponse, ServeError>>,
 }
 
-/// A shard: one batch queue plus the condvar its worker parks on.
-struct Shard {
-    queue: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-    /// Set (under the queue lock) when the shard's supervisor gave up;
-    /// admission routes around dead shards.
-    dead: AtomicBool,
+/// The request queue and the worker roster admission checks with it.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Workers whose supervisor has not given up.  At zero the queue is
+    /// closed: it was failed, and admission rejects new work.
+    live_workers: usize,
+    /// The first worker that exhausted its restart budget.
+    first_dead: Option<usize>,
 }
 
 /// State shared by every client handle and worker thread.
 struct Shared {
     published: PublishedModel,
-    policy: BatchPolicy,
+    max_batch: usize,
     queue_capacity: usize,
     feature_dim: usize,
     integer_pipeline: bool,
     max_worker_restarts: usize,
     chaos: Arc<ChaosPlan>,
-    shards: Vec<Shard>,
-    /// Round-robin admission cursor.
-    rr: AtomicUsize,
+    queue: Mutex<Queue>,
+    /// Idle workers park here; notified on every admission and on
+    /// shutdown.
+    ready: Condvar,
+    /// Set under the queue lock, so a worker deciding to park cannot miss
+    /// it; read without the lock only as an early exit.
     shutdown: AtomicBool,
-    /// First shard declared dead (`usize::MAX` while all are alive).
-    first_dead: AtomicUsize,
     served: AtomicU64,
     flushes: AtomicU64,
-    stolen: AtomicU64,
     shed: AtomicU64,
     deadline_shed: AtomicU64,
     worker_restarts: AtomicU64,
@@ -311,13 +283,20 @@ impl Shared {
         ServerStats {
             served: self.served.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
-            stolen_batches: self.stolen.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
             failed_batches: self.failed_batches.load(Ordering::Relaxed),
             peak_queue_depth: self.peak_depth.load(Ordering::Relaxed),
         }
+    }
+
+    /// Flags shutdown under the queue lock and wakes every parked worker.
+    fn stop(&self) {
+        let queue = lock(&self.queue);
+        self.shutdown.store(true, Ordering::Release);
+        drop(queue);
+        self.ready.notify_all();
     }
 }
 
@@ -385,16 +364,16 @@ impl ServerClient {
     /// * [`ServeError::Model`] if the query is malformed;
     /// * [`ServeError::Overloaded`] if admission control shed the request;
     /// * [`ServeError::WorkerFailed`] if the scoring worker panicked (or
-    ///   every shard is dead);
+    ///   every worker is dead);
     /// * [`ServeError::Disconnected`] if the server has shut down.
     pub fn predict(&self, features: &[f32]) -> Result<usize, ServeError> {
         self.submit(features)?.wait()
     }
 
-    /// Classifies one feature vector under a deadline: if the coalesced
-    /// batch has not started scoring within `deadline` of submission, the
-    /// shard sheds the request with [`ServeError::DeadlineExceeded`]
-    /// instead of answering late (ROADMAP item 5's shed-by-deadline).
+    /// Classifies one feature vector under a deadline: if no worker has
+    /// taken the request within `deadline` of submission, it is shed with
+    /// [`ServeError::DeadlineExceeded`] instead of answered late (see
+    /// [`SubmitOptions::deadline`]).
     ///
     /// # Errors
     ///
@@ -406,23 +385,6 @@ impl ServerClient {
         deadline: Duration,
     ) -> Result<usize, ServeError> {
         self.submit_with(features, SubmitOptions::within(deadline))?
-            .wait()
-    }
-
-    /// Classifies one feature vector with bounded retry on
-    /// [`ServeError::Overloaded`] (deterministic jittered exponential
-    /// backoff per `retry`); every other error is surfaced immediately.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServerClient::predict`]; [`ServeError::Overloaded`] is
-    /// returned only after `retry.attempts` rejected submissions.
-    pub fn predict_with_retry(
-        &self,
-        features: &[f32],
-        retry: RetryPolicy,
-    ) -> Result<usize, ServeError> {
-        self.submit_with_retry(features, SubmitOptions::default(), retry)?
             .wait()
     }
 
@@ -468,7 +430,7 @@ impl ServerClient {
 
     /// Enqueues one query without blocking on its answer; the returned
     /// [`Prediction`] redeems it.  This is the pipelined entry point: a
-    /// client can keep a window of submissions in flight and let the shard
+    /// client can keep a window of submissions in flight and let the
     /// workers coalesce them.
     ///
     /// # Errors
@@ -480,7 +442,7 @@ impl ServerClient {
     }
 
     /// Enqueues one query under an explicit [`TaskKind`] without blocking
-    /// on its answer.  Mixed-kind traffic coalesces into the same shard
+    /// on its answer.  Mixed-kind traffic coalesces into the same
     /// batches; the worker partitions each batch by kind, so sharing a
     /// window with rankings or anomaly probes can never move a
     /// classification answer (and vice versa).
@@ -494,18 +456,17 @@ impl ServerClient {
     }
 
     /// Enqueues one query with full [`SubmitOptions`] (task kind +
-    /// optional deadline) without blocking on its answer.  Admission deals
-    /// requests round-robin across shards, routing around dead ones.
+    /// optional deadline) without blocking on its answer.
     ///
     /// # Errors
     ///
     /// * [`ServeError::Model`] if the query is malformed: the wrong length,
     ///   or a non-finite feature (a NaN or infinite query would encode to
     ///   NaN, which the quantizing epilogue does not define);
-    /// * [`ServeError::Overloaded`] if the target shard's queue is full;
+    /// * [`ServeError::Overloaded`] if the queue is full;
     /// * [`ServeError::DeadlineExceeded`] if the deadline is already zero
     ///   at submission;
-    /// * [`ServeError::WorkerFailed`] if every shard is dead;
+    /// * [`ServeError::WorkerFailed`] if every worker is dead;
     /// * [`ServeError::Disconnected`] if the server has shut down.
     pub fn submit_with(
         &self,
@@ -533,89 +494,38 @@ impl ServerClient {
             shared.deadline_shed.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::DeadlineExceeded);
         }
-        let cursor = shared.rr.fetch_add(1, Ordering::Relaxed);
-        let count = shared.shards.len();
-        for probe in 0..count {
-            let index = (cursor + probe) % count;
-            let shard = &shared.shards[index];
-            if shard.dead.load(Ordering::Acquire) {
-                continue;
-            }
-            let mut queue = lock(&shard.queue);
-            // Re-check under the lock: a worker only exits after observing
-            // (shutdown ∧ empty queue) under this lock, and `fail_shard`
-            // marks the shard dead under it before draining — so a job
-            // admitted past both checks is guaranteed to be drained by a
-            // worker or failed by the supervisor, never silently dropped.
-            if shared.shutdown.load(Ordering::Acquire) {
-                return Err(ServeError::Disconnected);
-            }
-            if shard.dead.load(Ordering::Acquire) {
-                continue;
-            }
-            if queue.len() >= shared.queue_capacity {
-                shared.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded);
-            }
-            let now = Instant::now();
-            let (tx, rx) = mpsc::channel();
-            queue.push_back(Job {
-                at: now,
-                deadline: options.deadline.map(|d| now + d),
-                features: features.to_vec(),
-                kind: options.kind,
-                reply: tx,
+        let (tx, rx) = mpsc::channel();
+        let job = Job {
+            // A deadline too far out to represent never sheds.
+            deadline: options.deadline.and_then(|d| Instant::now().checked_add(d)),
+            features: features.to_vec(),
+            kind: options.kind,
+            reply: tx,
+        };
+        let mut queue = lock(&shared.queue);
+        // Checked under the lock: a worker exits only after observing
+        // (shutdown ∧ empty queue) under this lock, and the last dying
+        // worker closes the queue under it before failing what it holds —
+        // so a job admitted past both checks is guaranteed to be drained
+        // by a worker or failed, never silently dropped.
+        if shared.shutdown.load(Ordering::Acquire) {
+            return Err(ServeError::Disconnected);
+        }
+        if queue.live_workers == 0 {
+            return Err(ServeError::WorkerFailed {
+                shard: queue.first_dead.unwrap_or(0),
             });
-            let depth = queue.len();
-            drop(queue);
-            shared.peak_depth.fetch_max(depth, Ordering::Relaxed);
-            shard.cv.notify_one();
-            if depth > shared.policy.max_batch {
-                // More than one batch is backed up on this shard: wake
-                // every worker so an idle one can steal the overflow.
-                for other in &shared.shards {
-                    other.cv.notify_one();
-                }
-            }
-            return Ok(Prediction { rx });
         }
-        // Every shard is dead; name the first casualty.
-        let shard = shared.first_dead.load(Ordering::Acquire);
-        Err(ServeError::WorkerFailed {
-            shard: if shard == usize::MAX { 0 } else { shard },
-        })
-    }
-
-    /// Enqueues one query with bounded retry on
-    /// [`ServeError::Overloaded`]: attempt `i` (zero-based) backs off for
-    /// `retry.backoff * 2^i` scaled by a deterministic jitter in
-    /// `[0.5, 1.0)` drawn from `retry.seed`.  Every non-`Overloaded`
-    /// outcome — success or error — is returned immediately.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServerClient::submit_with`]; [`ServeError::Overloaded`] is
-    /// returned only after `retry.attempts` rejected submissions.
-    pub fn submit_with_retry(
-        &self,
-        features: &[f32],
-        options: SubmitOptions,
-        retry: RetryPolicy,
-    ) -> Result<Prediction, ServeError> {
-        let attempts = retry.attempts.max(1);
-        let mut attempt = 0usize;
-        loop {
-            match self.submit_with(features, options) {
-                Err(ServeError::Overloaded) if attempt + 1 < attempts => {
-                    let mut rng = SeededRng::derive_stream(RngSeed(retry.seed), attempt as u64);
-                    let jitter = 0.5 + 0.5 * f64::from(rng.next_unit());
-                    let scale = (1u64 << attempt.min(16)) as f64;
-                    std::thread::sleep(retry.backoff.mul_f64(jitter * scale));
-                    attempt += 1;
-                }
-                other => return other,
-            }
+        if queue.jobs.len() >= shared.queue_capacity {
+            shared.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::Overloaded);
         }
+        queue.jobs.push_back(job);
+        let depth = queue.jobs.len();
+        drop(queue);
+        shared.peak_depth.fetch_max(depth, Ordering::Relaxed);
+        shared.ready.notify_one();
+        Ok(Prediction { rx })
     }
 
     /// Hot-swaps the quantized class memory of the live model by
@@ -667,17 +577,18 @@ impl ServerClient {
     }
 }
 
-/// A live classification server: per-shard worker threads that coalesce
-/// concurrent client queries into batches and score them against a
+/// A live classification server: worker threads that share one request
+/// queue, coalesce whatever has queued into a batch and score it against a
 /// published model snapshot.
 ///
-/// Each worker accumulates arriving queries until the policy's batch
-/// window fills or [`BatchPolicy::max_wait`] elapses with a partial batch
-/// (measured from the oldest queued query), then answers the whole batch
-/// in one pass.  Clients block only for their own answer.  Hot-swap and
-/// rollback go through snapshot **publication** and never block scoring.
-/// Workers are supervised: a scoring panic fails its batch's tickets and
-/// restarts the worker (see `DESIGN.md` §13).
+/// A free worker takes everything queued, up to the policy's batch window
+/// ([`BatchPolicy::max_batch`]), and answers the whole batch in one pass.
+/// A lone request is scored as soon as a worker is free; under load the
+/// window fills, because requests queue while every worker is busy.
+/// Clients block only for their own answer.  Hot-swap and rollback go
+/// through snapshot **publication** and never block scoring.  Workers are
+/// supervised: a scoring panic fails its batch's tickets and restarts the
+/// worker (see `DESIGN.md` §13).
 ///
 /// # Example
 ///
@@ -711,17 +622,17 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts a server with [`ServerOptions::default`] (one shard).
+    /// Starts a server with [`ServerOptions::default`] (one worker).
     pub fn spawn(model: DeployedModel, policy: BatchPolicy) -> Self {
         Self::spawn_with(model, policy, ServerOptions::default())
     }
 
-    /// Starts a server with an explicit shard count.
+    /// Starts a server with `shards` workers.
     pub fn spawn_sharded(model: DeployedModel, policy: BatchPolicy, shards: usize) -> Self {
         Self::spawn_with(model, policy, ServerOptions::sharded(shards))
     }
 
-    /// Starts the shard workers and publishes `model` as generation 0.
+    /// Starts the workers and publishes `model` as generation 0.
     pub fn spawn_with(model: DeployedModel, policy: BatchPolicy, options: ServerOptions) -> Self {
         Self::spawn_chaotic(model, policy, options, Arc::new(ChaosPlan::none()))
     }
@@ -737,39 +648,32 @@ impl Server {
         options: ServerOptions,
         chaos: Arc<ChaosPlan>,
     ) -> Self {
-        let shards = options.shards.max(1);
+        let workers = options.shards.max(1);
         let feature_dim = model.encoder_parts().input_dim();
         let shared = Arc::new(Shared {
             published: PublishedModel::new(model),
-            policy: BatchPolicy {
-                max_batch: policy.max_batch.max(1),
-                max_wait: policy.max_wait,
-            },
+            max_batch: policy.max_batch.max(1),
             queue_capacity: options.queue_capacity.max(1),
             feature_dim,
             integer_pipeline: options.integer_pipeline,
             max_worker_restarts: options.max_worker_restarts,
             chaos,
-            shards: (0..shards)
-                .map(|_| Shard {
-                    queue: Mutex::new(VecDeque::new()),
-                    cv: Condvar::new(),
-                    dead: AtomicBool::new(false),
-                })
-                .collect(),
-            rr: AtomicUsize::new(0),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                live_workers: workers,
+                first_dead: None,
+            }),
+            ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            first_dead: AtomicUsize::new(usize::MAX),
             served: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_shed: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
             failed_batches: AtomicU64::new(0),
             peak_depth: AtomicUsize::new(0),
         });
-        let workers = (0..shards)
+        let workers = (0..workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -802,35 +706,26 @@ impl Server {
         self.shared.chaos.disarm();
     }
 
-    /// Stops every worker after it has drained and answered its queued
-    /// queries, returning the final counters.  Requests submitted after
-    /// this call starts are rejected with [`ServeError::Disconnected`].
+    /// Stops every worker after the queue has been drained and answered,
+    /// returning the final counters.  Requests submitted after this call
+    /// starts are rejected with [`ServeError::Disconnected`].
     ///
     /// # Errors
     ///
-    /// [`ServeError::WorkerFailed`] naming the first shard whose worker
-    /// died (exhausted its restart budget, or — should a panic ever escape
-    /// the supervisor — crashed outright).  Never panics, including when a
+    /// [`ServeError::WorkerFailed`] naming the first worker that died
+    /// (exhausted its restart budget, or — should a panic ever escape the
+    /// supervisor — crashed outright).  Never panics, including when a
     /// worker did: the failure is a return value, and the [`Drop`] impl
     /// that runs as `self` goes out of scope joins nothing twice.
     pub fn shutdown(mut self) -> Result<ServerStats, ServeError> {
-        self.shared.shutdown.store(true, Ordering::Release);
-        for shard in &self.shared.shards {
-            shard.cv.notify_all();
-        }
+        self.shared.stop();
         let mut crashed: Option<usize> = None;
         for (index, worker) in std::mem::take(&mut self.workers).into_iter().enumerate() {
             if worker.join().is_err() && crashed.is_none() {
                 crashed = Some(index);
             }
         }
-        let first_dead = self.shared.first_dead.load(Ordering::Acquire);
-        let dead = if first_dead != usize::MAX {
-            Some(first_dead)
-        } else {
-            crashed
-        };
-        match dead {
+        match lock(&self.shared.queue).first_dead.or(crashed) {
             Some(shard) => Err(ServeError::WorkerFailed { shard }),
             None => Ok(self.shared.stats()),
         }
@@ -843,37 +738,35 @@ impl Drop for Server {
     /// propagating them, so a drop during unwinding can never double-panic
     /// and abort.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        for shard in &self.shared.shards {
-            shard.cv.notify_all();
-        }
+        self.shared.stop();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
-/// Takes up to `max_batch` jobs from the front of `queue` (oldest first).
-fn drain_batch(queue: &mut VecDeque<Job>, max_batch: usize) -> Vec<Job> {
-    let n = queue.len().min(max_batch);
-    queue.drain(..n).collect()
-}
-
-/// Collects the next scoreable batch for shard `index`: raw collection per
-/// the policy, then deadline shedding — a drained job whose deadline has
-/// passed is failed with [`ServeError::DeadlineExceeded`] instead of
-/// scored.  Returns an empty batch only on shutdown with an empty queue.
-fn collect_batch(shared: &Shared, index: usize) -> Vec<Job> {
+/// Takes the next scoreable batch: everything queued, up to `max_batch`,
+/// oldest first, parking while the queue is empty.  A drained job whose
+/// deadline has passed is answered [`ServeError::DeadlineExceeded`]
+/// instead of scored.  Returns an empty batch only when the server is
+/// shutting down and the queue has been observed empty under its lock.
+fn next_batch(shared: &Shared) -> Vec<Job> {
     loop {
-        let batch = collect_raw_batch(shared, index);
-        if batch.is_empty() {
-            return batch;
+        let mut queue = lock(&shared.queue);
+        while queue.jobs.is_empty() {
+            if shared.shutdown.load(Ordering::Acquire) {
+                return Vec::new();
+            }
+            queue = shared.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
         }
+        let n = queue.jobs.len().min(shared.max_batch);
+        let batch: Vec<Job> = queue.jobs.drain(..n).collect();
+        drop(queue);
         let live = shed_expired(shared, batch);
         if !live.is_empty() {
             return live;
         }
-        // Every drained job was past its deadline; collect again.
+        // Every drained job was past its deadline; take the next batch.
     }
 }
 
@@ -895,107 +788,32 @@ fn shed_expired(shared: &Shared, batch: Vec<Job>) -> Vec<Job> {
     live
 }
 
-/// Collects the next batch for shard `index`, blocking per the policy.
-/// The wake-up instant is the sooner of the patience deadline (oldest
-/// job + `max_wait`) and the earliest queued request deadline, so a
-/// deadline is honoured (served by an early flush or shed on time) even
-/// when the patience window is much longer.  Returns an empty batch only
-/// when the server is shutting down and the shard's queue has been
-/// observed empty under its lock.
-fn collect_raw_batch(shared: &Shared, index: usize) -> Vec<Job> {
-    let shard = &shared.shards[index];
-    let max_batch = shared.policy.max_batch;
-    let max_wait = shared.policy.max_wait;
-    let mut queue = lock(&shard.queue);
-    loop {
-        let shutting_down = shared.shutdown.load(Ordering::Acquire);
-        if queue.len() >= max_batch || (shutting_down && !queue.is_empty()) {
-            return drain_batch(&mut queue, max_batch);
+/// Retires worker `index` after its restart budget is spent.  The other
+/// workers keep draining the queue.  When `index` was the last one, the
+/// queue is closed under its lock — so admission's own locked check
+/// cannot race a job past it — and every queued job is failed: clients
+/// resolve promptly instead of waiting on a queue nobody drains.
+fn retire_worker(shared: &Shared, index: usize) {
+    let orphans: Vec<Job> = {
+        let mut queue = lock(&shared.queue);
+        queue.live_workers -= 1;
+        queue.first_dead.get_or_insert(index);
+        if queue.live_workers > 0 {
+            return;
         }
-        if let Some(oldest) = queue.front() {
-            let patience = oldest.at + max_wait;
-            let wake = queue
-                .iter()
-                .filter_map(|job| job.deadline)
-                .min()
-                .map_or(patience, |d| d.min(patience));
-            let now = Instant::now();
-            if now >= wake {
-                // Deadline reached: drain everything that is queued *right
-                // now* in one batch.  (The pre-shard dispatcher could hit a
-                // zero-remaining `recv_timeout` here and flush short even
-                // though queued messages would have filled the batch.)
-                return drain_batch(&mut queue, max_batch);
-            }
-            queue = shard
-                .cv
-                .wait_timeout(queue, wake - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-            continue;
-        }
-        // Own queue is empty.
-        if shutting_down {
-            return Vec::new();
-        }
-        drop(queue);
-        if let Some(stolen) = steal_batch(shared, index) {
-            shared.stolen.fetch_add(1, Ordering::Relaxed);
-            return stolen;
-        }
-        queue = lock(&shard.queue);
-        if queue.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
-            queue = shard.cv.wait(queue).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Steals up to one batch of the oldest work from the deepest other
-/// shard's queue.
-fn steal_batch(shared: &Shared, thief: usize) -> Option<Vec<Job>> {
-    if shared.shards.len() == 1 {
-        return None;
-    }
-    let victim = (0..shared.shards.len())
-        .filter(|&v| v != thief)
-        .map(|v| (lock(&shared.shards[v].queue).len(), v))
-        .filter(|&(len, _)| len > 0)
-        .max()?
-        .1;
-    let mut queue = lock(&shared.shards[victim].queue);
-    if queue.is_empty() {
-        // Raced with the victim's own worker (or another thief).
-        return None;
-    }
-    Some(drain_batch(&mut queue, shared.policy.max_batch))
-}
-
-/// Declares shard `index` dead after its restart budget is spent: marks it
-/// (under the queue lock, so admission's own locked re-check cannot race a
-/// job past it), drains whatever is queued, and fails every drained job —
-/// clients waiting on this shard resolve promptly instead of hanging.
-fn fail_shard(shared: &Shared, index: usize) {
-    let shard = &shared.shards[index];
-    let drained: Vec<Job> = {
-        let mut queue = lock(&shard.queue);
-        shard.dead.store(true, Ordering::Release);
-        queue.drain(..).collect()
+        queue.jobs.drain(..).collect()
     };
-    let _ =
-        shared
-            .first_dead
-            .compare_exchange(usize::MAX, index, Ordering::AcqRel, Ordering::Acquire);
-    for job in drained {
+    for job in orphans {
         let _ = job
             .reply
             .send(Err(ServeError::WorkerFailed { shard: index }));
     }
 }
 
-/// The supervisor for shard `index`: runs the worker loop, catching
+/// The supervisor for worker `index`: runs the worker loop, catching
 /// panics.  Each panic costs one restart from the budget (with
 /// exponentially backed-off sleeps); a clean return is shutdown.  When the
-/// budget is spent the shard is failed — never silently abandoned.
+/// budget is spent the worker is retired — never silently abandoned.
 fn run_worker(shared: &Shared, index: usize) {
     let mut restarts = 0usize;
     loop {
@@ -1007,7 +825,7 @@ fn run_worker(shared: &Shared, index: usize) {
             Ok(()) => return,
             Err(_panic) => {
                 if restarts == shared.max_worker_restarts {
-                    fail_shard(shared, index);
+                    retire_worker(shared, index);
                     return;
                 }
                 restarts += 1;
@@ -1020,8 +838,9 @@ fn run_worker(shared: &Shared, index: usize) {
     }
 }
 
-/// The shard worker loop: collect a batch, resolve the snapshot **once at
-/// the batch boundary**, score, repeat; exit after draining on shutdown.
+/// The worker loop: take a batch, resolve the snapshot **once at the
+/// batch boundary**, score, repeat; exit once shutdown finds the queue
+/// empty.
 ///
 /// Scoring runs inside its own `catch_unwind` so a panicked pass —
 /// injected by a [`ChaosPlan`] or real — fails the batch's tickets with
@@ -1032,7 +851,7 @@ fn run_worker(shared: &Shared, index: usize) {
 fn worker_loop(shared: &Shared, index: usize) {
     let mut reader = shared.published.reader();
     loop {
-        let batch = collect_batch(shared, index);
+        let batch = next_batch(shared);
         if batch.is_empty() {
             debug_assert!(shared.shutdown.load(Ordering::Acquire));
             return;
@@ -1101,53 +920,135 @@ mod tests {
         QuantizedMatrix::quantize(&Matrix::filled(k, dim, 1.0), BitWidth::B8)
     }
 
+    /// Spawns a server whose flush 0 stalls for `stall`, submits one
+    /// occupant query and returns once a worker has claimed it.  At one
+    /// worker, everything submitted next waits in the queue until the
+    /// stall ends.
+    fn held_server(
+        model: DeployedModel,
+        policy: BatchPolicy,
+        options: ServerOptions,
+        stall: Duration,
+    ) -> (Server, Prediction) {
+        let chaos = ChaosPlan::none().and_stalls(&[(0, stall)]);
+        let server = Server::spawn_chaotic(model, policy, options, Arc::new(chaos));
+        let occupant = server
+            .client()
+            .submit(&testkit::tiny_queries(1)[0])
+            .unwrap();
+        wait_for_flushes(&server, 1);
+        (server, occupant)
+    }
+
+    /// Polls until the workers have claimed `n` flushes.
+    fn wait_for_flushes(server: &Server, n: u64) {
+        while server.stats().flushes < n {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
-    fn a_burst_within_the_patience_window_coalesces_into_one_batch() {
-        // Regression for the pre-shard dispatcher's deadline busy-path: a
-        // burst that arrives while the worker is waiting out the patience
-        // window must be drained into ONE batch at the deadline, not split
-        // because the deadline check raced the queue.
-        let server = Server::spawn_sharded(
+    fn a_lone_request_is_answered_in_one_flush_whatever_max_wait_says() {
+        // A free worker drains at once: neither a long `max_wait` nor one
+        // too large to add to an `Instant` delays (or panics) the worker.
+        for max_wait in [Duration::from_secs(5), Duration::MAX] {
+            let server = Server::spawn(
+                testkit::tiny_deployment(),
+                BatchPolicy {
+                    max_batch: 1024,
+                    max_wait,
+                },
+            );
+            let q = testkit::tiny_queries(1).remove(0);
+            let started = Instant::now();
+            server.client().predict(&q).unwrap();
+            let waited = started.elapsed();
+            assert!(
+                waited < Duration::from_secs(2),
+                "max_wait {max_wait:?}: a lone request waited {waited:?}"
+            );
+            let stats = server.shutdown().unwrap();
+            assert_eq!((stats.served, stats.flushes), (1, 1), "{max_wait:?}");
+            assert_eq!(stats.worker_restarts, 0, "{max_wait:?}");
+        }
+    }
+
+    #[test]
+    fn an_idle_worker_drains_the_queue_while_another_is_stalled() {
+        // Two workers, one held for 1.5 s: no queued job may wait for it
+        // while the other worker is idle.
+        let (server, occupant) = held_server(
             testkit::tiny_deployment(),
-            BatchPolicy {
-                max_batch: 1024,
-                max_wait: Duration::from_millis(200),
-            },
-            1,
+            BatchPolicy::window(4),
+            ServerOptions::sharded(2),
+            Duration::from_millis(1500),
+        );
+        let client = server.client();
+        let started = Instant::now();
+        let pending: Vec<Prediction> = testkit::tiny_queries(16)
+            .iter()
+            .map(|q| client.submit(q).unwrap())
+            .collect();
+        for p in pending {
+            p.wait().unwrap();
+        }
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_millis(750),
+            "the free worker must drain the queue, not wait out the stall ({waited:?})"
+        );
+        occupant.wait().unwrap();
+        let stats = server.shutdown().unwrap();
+        assert_eq!(stats.served, 17);
+        // Window 4: the free worker took at least four batches.
+        assert!(stats.flushes >= 5, "{stats:?}");
+    }
+
+    #[test]
+    fn a_burst_queued_behind_a_busy_worker_coalesces_into_one_batch() {
+        // Requests that pile up while the only worker is busy are drained
+        // into ONE batch when it comes back (the window is larger than
+        // the burst), not split.
+        let (server, occupant) = held_server(
+            testkit::tiny_deployment(),
+            BatchPolicy::window(1024),
+            ServerOptions::default(),
+            Duration::from_millis(200),
         );
         let client = server.client();
         let queries = testkit::tiny_queries(40);
         let pending: Vec<Prediction> = queries.iter().map(|q| client.submit(q).unwrap()).collect();
+        occupant.wait().unwrap();
         for p in pending {
             p.wait().unwrap();
         }
         let stats = server.shutdown().unwrap();
-        assert_eq!(stats.served, 40);
+        assert_eq!(stats.served, 41);
         assert_eq!(
-            stats.flushes, 1,
-            "burst inside one patience window must coalesce into one batch"
+            stats.flushes, 2,
+            "the occupant, then the whole queued burst in one batch"
         );
     }
 
     #[test]
     fn swap_published_mid_batch_is_visible_without_waiting_on_scoring() {
-        // A swap issued while a partial batch is still queued (long
-        // patience) must (a) return immediately — publication, not a trip
-        // through the worker loop — and (b) be visible to that very batch,
-        // because the worker resolves the snapshot at the batch boundary,
-        // after the publication.
+        // A swap issued while a query is queued behind a busy worker must
+        // (a) return immediately — publication, not a trip through the
+        // worker loop — and (b) be visible to that query's batch, because
+        // the worker resolves the snapshot at the batch boundary, after
+        // the publication.  The in-flight batch keeps the generation it
+        // started with.
         let deployment = testkit::tiny_deployment();
         let constant = constant_memory(&deployment);
-        let server = Server::spawn_sharded(
+        let q = testkit::tiny_queries(1).remove(0);
+        let original = deployment.predict(&q).unwrap();
+        let (server, occupant) = held_server(
             deployment,
-            BatchPolicy {
-                max_batch: 64,
-                max_wait: Duration::from_millis(300),
-            },
-            1,
+            BatchPolicy::window(64),
+            ServerOptions::default(),
+            Duration::from_millis(300),
         );
         let client = server.client();
-        let q = testkit::tiny_queries(1).remove(0);
         let queued = client.submit(&q).unwrap();
 
         let swap_started = Instant::now();
@@ -1155,10 +1056,11 @@ mod tests {
         let swap_latency = swap_started.elapsed();
         assert!(
             swap_latency < Duration::from_millis(150),
-            "swap must not wait out the batch window ({swap_latency:?})"
+            "swap must not wait out the busy worker ({swap_latency:?})"
         );
 
-        // The queued query's batch flushes after the publication, so it is
+        assert_eq!(occupant.wait().unwrap(), original);
+        // The queued query's batch starts after the publication, so it is
         // scored by the constant memory (every row identical → class 0).
         assert_eq!(queued.wait().unwrap(), 0);
         // So is everything that follows.
@@ -1182,22 +1084,17 @@ mod tests {
     }
 
     #[test]
-    fn full_shard_queue_sheds_with_overloaded() {
-        // Window far above capacity + long patience: the worker parks on
-        // the deadline while jobs accumulate, so the queue depth (and the
-        // shed decision) is deterministic.
-        let server = Server::spawn_with(
+    fn full_queue_sheds_with_overloaded() {
+        // The only worker is held by a stall, so jobs accumulate and the
+        // queue depth (and the shed decision) is deterministic.
+        let (server, occupant) = held_server(
             testkit::tiny_deployment(),
-            BatchPolicy {
-                max_batch: 1024,
-                max_wait: Duration::from_secs(5),
-            },
+            BatchPolicy::window(1024),
             ServerOptions {
-                shards: 1,
                 queue_capacity: 4,
-                integer_pipeline: false,
                 ..ServerOptions::default()
             },
+            Duration::from_millis(200),
         );
         let client = server.client();
         let q = testkit::tiny_queries(1).remove(0);
@@ -1212,12 +1109,13 @@ mod tests {
                     .collect::<Vec<_>>()
             });
             let stats = server.shutdown().unwrap();
-            assert_eq!(stats.served, 4);
+            assert_eq!(stats.served, 5);
             assert_eq!(stats.shed, 1);
-            assert!(stats.peak_queue_depth >= 4);
+            assert_eq!(stats.peak_queue_depth, 4);
             waiter.join().unwrap()
         });
         assert_eq!(drained.len(), 4);
+        occupant.wait().unwrap();
     }
 
     #[test]
@@ -1291,7 +1189,7 @@ mod tests {
     fn integer_pipeline_matches_the_direct_quantized_batch_path() {
         // The integer-pipeline server must answer exactly like
         // DeployedModel::predict_quantized_batch: the fused encode is
-        // per-row deterministic, so batching (and sharding) can never
+        // per-row deterministic, so batching (and the worker count) can never
         // change an answer.
         let deployment = testkit::tiny_deployment();
         let queries = testkit::tiny_queries(48);
@@ -1321,9 +1219,9 @@ mod tests {
 
     #[test]
     fn task_endpoints_match_the_direct_model_apis_across_shards() {
-        // Every shard scores through the batched DeployedModel APIs, so
+        // Every worker scores through the batched DeployedModel APIs, so
         // rankings and anomaly verdicts must agree bit-for-bit with them
-        // however many shards the traffic is dealt across.
+        // however many workers drain the queue.
         let mut deployment = testkit::tiny_deployment();
         deployment
             .set_tasks(disthd::ServingTasks {
@@ -1338,7 +1236,7 @@ mod tests {
         for shards in [1usize, 2] {
             let server = Server::spawn_sharded(deployment.clone(), BatchPolicy::window(8), shards);
             let client = server.client();
-            // Pipeline mixed traffic so both kinds coalesce inside shard
+            // Pipeline mixed traffic so both kinds coalesce inside
             // batches instead of flushing one by one.
             let pending: Vec<(usize, Prediction, Prediction)> = queries
                 .iter()
@@ -1415,22 +1313,16 @@ mod tests {
 
     #[test]
     fn sharded_burst_is_drained_completely_across_windows() {
-        // A burst several windows deep lands on every shard (round-robin);
-        // overflow notifications wake all workers, and whether a shard's
-        // backlog is flushed by its owner or stolen by an idle neighbour,
-        // no query may be lost or double-answered.
-        let server = Server::spawn_with(
+        // A burst several windows deep piles up while all four workers
+        // are held by stalls; once they come back, the one queue is
+        // drained window by window and no query may be lost or
+        // double-answered.
+        let stalls: Vec<(u64, Duration)> = (0..4).map(|f| (f, Duration::from_millis(50))).collect();
+        let server = Server::spawn_chaotic(
             testkit::tiny_deployment(),
-            BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_millis(400),
-            },
-            ServerOptions {
-                shards: 4,
-                queue_capacity: DEFAULT_QUEUE_CAPACITY,
-                integer_pipeline: false,
-                ..ServerOptions::default()
-            },
+            BatchPolicy::window(4),
+            ServerOptions::sharded(4),
+            Arc::new(ChaosPlan::none().and_stalls(&stalls)),
         );
         let client = server.client();
         let queries = testkit::tiny_queries(64);
@@ -1462,17 +1354,15 @@ mod tests {
     }
 
     #[test]
-    fn lone_deadlined_job_is_shed_at_its_deadline_not_at_patience() {
-        // Patience is 5 s; the request's 25 ms deadline must wake the
-        // worker early and shed it — the client resolves in tens of
-        // milliseconds, not seconds, and the job is never scored.
-        let server = Server::spawn_sharded(
+    fn a_deadline_that_passes_while_queued_is_shed_at_drain() {
+        // The only worker is held for 100 ms; a request with a 25 ms
+        // deadline queued behind it is shed when the worker drains it —
+        // the client resolves long before 2 s and the job is never scored.
+        let (server, occupant) = held_server(
             testkit::tiny_deployment(),
-            BatchPolicy {
-                max_batch: 1024,
-                max_wait: Duration::from_secs(5),
-            },
-            1,
+            BatchPolicy::window(1024),
+            ServerOptions::default(),
+            Duration::from_millis(100),
         );
         let client = server.client();
         let q = testkit::tiny_queries(1).remove(0);
@@ -1482,34 +1372,30 @@ mod tests {
             .unwrap_err();
         let waited = started.elapsed();
         assert!(matches!(err, ServeError::DeadlineExceeded), "{err}");
-        assert!(
-            waited < Duration::from_secs(2),
-            "deadline shed must not wait out the 5 s patience ({waited:?})"
-        );
+        assert!(waited < Duration::from_secs(2), "{waited:?}");
+        occupant.wait().unwrap();
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.deadline_shed, 1);
-        assert_eq!(stats.served, 0, "a shed request is never scored");
+        assert_eq!(stats.served, 1, "only the occupant is scored");
+        assert_eq!(stats.flushes, 1, "a shed request costs no scoring pass");
     }
 
     #[test]
-    fn deadlined_job_is_served_when_the_window_fills_first() {
-        // A generous deadline with a filling batch window: the flush beats
-        // the deadline and the request is answered normally.
-        let server = Server::spawn_sharded(
+    fn deadlined_job_is_served_when_a_worker_frees_in_time() {
+        // A generous deadline behind a short stall: the worker drains the
+        // request well before its deadline and answers it normally.
+        let (server, occupant) = held_server(
             testkit::tiny_deployment(),
-            BatchPolicy {
-                max_batch: 2,
-                max_wait: Duration::from_secs(5),
-            },
-            1,
+            BatchPolicy::window(2),
+            ServerOptions::default(),
+            Duration::from_millis(30),
         );
         let client = server.client();
         let q = testkit::tiny_queries(1).remove(0);
         let deadlined = client
             .submit_with(&q, SubmitOptions::within(Duration::from_secs(30)))
             .unwrap();
-        let filler = client.submit(&q).unwrap();
-        let expected = filler.wait().unwrap();
+        let expected = occupant.wait().unwrap();
         assert_eq!(deadlined.wait().unwrap(), expected);
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.deadline_shed, 0);
@@ -1517,17 +1403,15 @@ mod tests {
     }
 
     #[test]
-    fn deadline_shed_flushes_batchmates_early_but_still_serves_them() {
-        // One deadlined job shares the queue with a plain one.  At the
-        // deadline the shard drains both: the expired job is shed, its
-        // batchmate is scored (early — well before the 5 s patience).
-        let server = Server::spawn_sharded(
+    fn deadline_shed_still_serves_its_batchmates() {
+        // A deadlined job and a plain one queue behind a stalled worker.
+        // The worker drains both into one batch: the expired job is shed,
+        // its batchmate is scored.
+        let (server, occupant) = held_server(
             testkit::tiny_deployment(),
-            BatchPolicy {
-                max_batch: 1024,
-                max_wait: Duration::from_secs(5),
-            },
-            1,
+            BatchPolicy::window(1024),
+            ServerOptions::default(),
+            Duration::from_millis(100),
         );
         let client = server.client();
         let q = testkit::tiny_queries(1).remove(0);
@@ -1535,92 +1419,39 @@ mod tests {
         let deadlined = client
             .submit_with(&q, SubmitOptions::within(Duration::from_millis(25)))
             .unwrap();
-        let started = Instant::now();
         assert!(matches!(
             deadlined.wait(),
             Err(ServeError::DeadlineExceeded)
         ));
-        plain.wait().unwrap();
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "the batchmate must ride the early deadline flush"
-        );
+        assert_eq!(plain.wait().unwrap(), occupant.wait().unwrap());
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.deadline_shed, 1);
-        assert_eq!(stats.served, 1);
-    }
-
-    #[test]
-    fn retry_rides_out_a_transient_overload() {
-        // Queue capacity 1 with a short patience: the first submission
-        // occupies the queue until its ~20 ms flush, so an immediate
-        // second submission is shed — but a retrying client backs off and
-        // lands a later attempt once the queue drains.
-        let server = Server::spawn_with(
-            testkit::tiny_deployment(),
-            BatchPolicy {
-                max_batch: 1024,
-                max_wait: Duration::from_millis(20),
-            },
-            ServerOptions {
-                shards: 1,
-                queue_capacity: 1,
-                integer_pipeline: false,
-                ..ServerOptions::default()
-            },
-        );
-        let client = server.client();
-        let q = testkit::tiny_queries(1).remove(0);
-        let first = client.submit(&q).unwrap();
-        assert!(matches!(client.submit(&q), Err(ServeError::Overloaded)));
-        let retry = RetryPolicy {
-            attempts: 10,
-            backoff: Duration::from_millis(10),
-            seed: 7,
-        };
-        let class = client.predict_with_retry(&q, retry).unwrap();
-        assert_eq!(class, first.wait().unwrap());
-        let stats = server.shutdown().unwrap();
         assert_eq!(stats.served, 2);
-        assert!(stats.shed >= 2, "the plain submit and ≥ 1 retry attempt");
+        assert_eq!(stats.flushes, 2, "the occupant, then the batchmate alone");
     }
 
     #[test]
-    fn retry_policy_is_deterministic_and_bounded() {
-        // A saturated queue that never drains (5 s patience): retry must
-        // give up with Overloaded after exactly `attempts` submissions —
-        // measured via the shed counter — and the jitter stream must not
-        // stall the caller anywhere near the patience window.
-        let server = Server::spawn_with(
-            testkit::tiny_deployment(),
-            BatchPolicy {
-                max_batch: 1024,
-                max_wait: Duration::from_secs(5),
-            },
-            ServerOptions {
-                shards: 1,
-                queue_capacity: 1,
-                integer_pipeline: false,
-                ..ServerOptions::default()
-            },
-        );
+    fn an_unrepresentable_deadline_never_sheds() {
+        // `now + Duration::MAX` overflows an `Instant`; such a deadline
+        // must be accepted and answered normally, not panic the client.
+        let server = Server::spawn(testkit::tiny_deployment(), BatchPolicy::window(4));
         let client = server.client();
         let q = testkit::tiny_queries(1).remove(0);
-        let occupant = client.submit(&q).unwrap();
-        let retry = RetryPolicy {
-            attempts: 3,
-            backoff: Duration::from_micros(100),
-            seed: 11,
-        };
-        let started = Instant::now();
+        let expected = client.predict(&q).unwrap();
+        assert_eq!(client.predict_within(&q, Duration::MAX).unwrap(), expected);
+        let ranked = client
+            .submit_with(
+                &q,
+                SubmitOptions::task(TaskKind::TopK).with_deadline(Duration::MAX),
+            )
+            .unwrap();
         assert!(matches!(
-            client.predict_with_retry(&q, retry),
-            Err(ServeError::Overloaded)
+            ranked.wait_response().unwrap(),
+            TaskResponse::Ranked(_)
         ));
-        assert!(started.elapsed() < Duration::from_secs(1));
-        assert_eq!(server.stats().shed, 3, "one shed per attempt");
-        drop(occupant);
-        server.shutdown().unwrap();
+        let stats = server.shutdown().unwrap();
+        assert_eq!(stats.deadline_shed, 0);
+        assert_eq!(stats.served, 3);
     }
 
     #[test]

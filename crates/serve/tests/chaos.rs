@@ -4,14 +4,15 @@
 //! proves the supervision invariants: an injected worker panic fails the
 //! in-flight batch's tickets with [`ServeError::WorkerFailed`] — promptly,
 //! never a hang — the restarted worker keeps serving bit-identical
-//! answers, and a shard that exhausts its restart budget is failed loudly
-//! (admission routes around it; `shutdown` names it) instead of
+//! answers, a worker that exhausts its restart budget exits while the
+//! others keep draining the queue, and the last one's death fails the
+//! queue loudly (`shutdown` names the first casualty) instead of
 //! abandoning clients.
 
 use disthd_linalg::{RngSeed, SeededRng};
 use disthd_serve::{
-    BatchPolicy, ChaosPlan, Prediction, RetryPolicy, ServeError, Server, ServerOptions,
-    SnapshotError, SnapshotStore, SubmitOptions,
+    BatchPolicy, ChaosPlan, Prediction, ServeError, Server, ServerOptions, SnapshotError,
+    SnapshotStore, SubmitOptions,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use std::time::{Duration, Instant};
 
 #[test]
 fn injected_panic_fails_the_batch_promptly_and_the_worker_restarts() {
-    // Regression for the client hang when a shard dies mid-batch: before
+    // Regression for the client hang when a worker dies mid-batch: before
     // supervision, the panicked worker dropped the batch's responders and
     // every waiter blocked forever.
     let chaos = Arc::new(ChaosPlan::panic_at_flushes(&[0]));
@@ -36,7 +37,7 @@ fn injected_panic_fails_the_batch_promptly_and_the_worker_restarts() {
     let err = client.predict(&q).unwrap_err();
     assert!(
         matches!(err, ServeError::WorkerFailed { shard: 0 }),
-        "in-flight ticket must fail with the shard id, got {err}"
+        "in-flight ticket must fail with the worker id, got {err}"
     );
     assert!(
         started.elapsed() < Duration::from_secs(5),
@@ -64,17 +65,14 @@ fn injected_panic_fails_the_batch_promptly_and_the_worker_restarts() {
 
 #[test]
 fn exhausted_restart_budget_fails_the_shard_and_everything_queued_on_it() {
-    // Budget 0: the first panic kills the shard.  Nothing queued may hang —
-    // the supervisor drains and fails the queue, admission rejects new
-    // work with the shard id, and shutdown reports the casualty instead of
-    // panicking.
+    // Budget 0: the first panic kills the only worker.  Nothing queued may
+    // hang — the supervisor closes and fails the queue, admission rejects
+    // new work with the worker id, and shutdown reports the casualty
+    // instead of panicking.
     let chaos = Arc::new(ChaosPlan::panic_at_flushes(&[0]));
     let server = Server::spawn_chaotic(
         disthd_serve::testkit::tiny_deployment(),
-        BatchPolicy {
-            max_batch: 1,
-            max_wait: Duration::from_millis(1),
-        },
+        BatchPolicy::window(1),
         ServerOptions {
             shards: 1,
             max_worker_restarts: 0,
@@ -85,8 +83,8 @@ fn exhausted_restart_budget_fails_the_shard_and_everything_queued_on_it() {
     let client = server.client();
     let q = disthd_serve::testkit::tiny_queries(1).remove(0);
 
-    // Fire a burst; whether each request is admitted before the shard dies
-    // or rejected after, it must resolve to WorkerFailed naming shard 0.
+    // Fire a burst; whether each request is admitted before the worker dies
+    // or rejected after, it must resolve to WorkerFailed naming worker 0.
     let mut outcomes = Vec::new();
     for _ in 0..3 {
         match client.submit(&q) {
@@ -101,7 +99,8 @@ fn exhausted_restart_budget_fails_the_shard_and_everything_queued_on_it() {
         );
     }
 
-    // The dead shard is permanent: later submissions are rejected up front.
+    // The closed queue is permanent: later submissions are rejected up
+    // front.
     assert!(matches!(
         client.submit(&q),
         Err(ServeError::WorkerFailed { shard: 0 })
@@ -109,14 +108,14 @@ fn exhausted_restart_budget_fails_the_shard_and_everything_queued_on_it() {
 
     match server.shutdown() {
         Err(ServeError::WorkerFailed { shard }) => assert_eq!(shard, 0),
-        other => panic!("shutdown must name the dead shard, got {other:?}"),
+        other => panic!("shutdown must name the dead worker, got {other:?}"),
     }
 }
 
 #[test]
 fn surviving_shards_keep_serving_while_one_is_dead() {
-    // Two shards, shard-killing budget, one scheduled panic: the casualty
-    // is routed around and the survivor answers everything afterwards.
+    // Two workers, worker-killing budget, one scheduled panic: the
+    // casualty exits and the survivor drains everything afterwards.
     let chaos = Arc::new(ChaosPlan::panic_at_flushes(&[0]));
     let server = Server::spawn_chaotic(
         disthd_serve::testkit::tiny_deployment(),
@@ -147,7 +146,7 @@ fn surviving_shards_keep_serving_while_one_is_dead() {
 
     match server.shutdown() {
         Err(ServeError::WorkerFailed { shard }) => assert!(shard < 2),
-        other => panic!("shutdown must name the dead shard, got {other:?}"),
+        other => panic!("shutdown must name the dead worker, got {other:?}"),
     }
 }
 
@@ -206,17 +205,14 @@ fn disarmed_chaos_serves_like_a_fault_free_server() {
 
 #[test]
 fn deadlines_are_still_honoured_while_chaos_is_firing() {
-    // A stalled worker holds its batch past a queued request's deadline;
-    // the deadline belongs to the *next* batch, which must still be shed
-    // on time once the worker comes back — chaos must not break the
-    // admission contract.
-    let chaos = Arc::new(ChaosPlan::panic_at_flushes(&[0]));
+    // The restarted worker stalls on its next batch past a queued
+    // request's deadline; that request must be shed when the worker comes
+    // back — chaos must not break the admission contract.
+    let chaos =
+        Arc::new(ChaosPlan::panic_at_flushes(&[0]).and_stalls(&[(1, Duration::from_millis(100))]));
     let server = Server::spawn_chaotic(
         disthd_serve::testkit::tiny_deployment(),
-        BatchPolicy {
-            max_batch: 1024,
-            max_wait: Duration::from_secs(5),
-        },
+        BatchPolicy::window(1024),
         ServerOptions::sharded(1),
         chaos,
     );
@@ -227,8 +223,12 @@ fn deadlines_are_still_honoured_while_chaos_is_firing() {
         client.predict(&q),
         Err(ServeError::WorkerFailed { shard: 0 })
     ));
-    // Restarted worker: a deadlined lone request is shed at its deadline,
-    // not at the 5 s patience.
+    // The restarted worker claims flush 1 and stalls on it.
+    let occupant = client.submit(&q).unwrap();
+    while server.stats().flushes < 2 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // A 25 ms deadline queued behind the stall is shed at drain.
     let started = Instant::now();
     let err = client
         .submit_with(&q, SubmitOptions::within(Duration::from_millis(25)))
@@ -237,14 +237,16 @@ fn deadlines_are_still_honoured_while_chaos_is_firing() {
         .unwrap_err();
     assert!(matches!(err, ServeError::DeadlineExceeded), "{err}");
     assert!(started.elapsed() < Duration::from_secs(2));
-    server.shutdown().unwrap();
+    occupant.wait().unwrap();
+    let stats = server.shutdown().unwrap();
+    assert_eq!((stats.deadline_shed, stats.served), (1, 1));
 }
 
 /// Seed of every fault schedule in the combined soak — one knob,
 /// replayable.
 const SOAK_SEED: u64 = 0x0D15_C0DE;
-/// Closed-loop clients in the soak; half retry overloads, half carry a
-/// deadline tighter than a stall.
+/// Closed-loop clients in the soak; half send plain requests, half carry
+/// a deadline tighter than a stall.
 const SOAK_CLIENTS: usize = 4;
 /// Requests each client issues: the soak is bounded by count, not time.
 const SOAK_REQUESTS_PER_CLIENT: usize = 150;
@@ -271,8 +273,8 @@ struct Outcomes {
     worker_failed: u64,
 }
 
-/// The combined chaos drill: a supervised two-shard server under seeded
-/// worker panics and slow-shard stalls, hammered by retrying and
+/// The combined chaos drill: a supervised two-worker server under seeded
+/// worker panics and slow-worker stalls, hammered by plain and
 /// deadline-carrying clients while a writer alternates bit-flipped and
 /// pristine installs.  The pristine generation itself comes through
 /// `restore_or_rollback` past a corrupted snapshot.  Afterwards the plan is
@@ -338,16 +340,12 @@ fn chaos_soak() {
                 let client = server.client();
                 let queries = &queries;
                 s.spawn(move || {
-                    let retry = RetryPolicy {
-                        seed: SOAK_SEED ^ t as u64,
-                        ..RetryPolicy::default()
-                    };
                     let mut outcomes = Outcomes::default();
                     for i in 0..SOAK_REQUESTS_PER_CLIENT {
                         let row = &queries[(t + i * SOAK_CLIENTS) % queries.len()];
                         outcomes.submitted += 1;
                         let outcome = if t % 2 == 0 {
-                            client.predict_with_retry(row, retry)
+                            client.predict(row)
                         } else {
                             client.predict_within(row, SOAK_DEADLINE)
                         };
@@ -405,7 +403,7 @@ fn chaos_soak() {
 
     let stats = server
         .shutdown()
-        .expect("no shard may exhaust its restart budget under the seeded schedule");
+        .expect("no worker may exhaust its restart budget under the seeded schedule");
     assert!(
         (1..=SOAK_PANICS as u64).contains(&stats.failed_batches),
         "the seeded panics must fire within the horizon: {stats:?}"

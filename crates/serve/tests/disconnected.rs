@@ -1,8 +1,11 @@
 //! `ServeError::Disconnected` coverage: every way a client can touch a
 //! dead or dying server must resolve to a prompt error, never a hang.
 
-use disthd_serve::{BatchPolicy, Prediction, ServeError, Server, TaskKind};
+use disthd_serve::{
+    BatchPolicy, ChaosPlan, Prediction, ServeError, Server, ServerOptions, TaskKind,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn check_submit_after_shutdown(shards: usize) {
@@ -128,21 +131,23 @@ fn submit_during_shutdown_race_loses_nothing_four_shards() {
 fn check_tickets_resolve_after_drop(shards: usize) {
     // Dropping the server (no shutdown call) still drains: tickets taken
     // out before the drop must resolve promptly — answered by the drain —
-    // and never leave a waiter hanging on a dropped responder.
-    let server = Server::spawn_sharded(
+    // and never leave a waiter hanging on a dropped responder.  Every
+    // worker's first batch stalls, so most tickets are still queued when
+    // the server is dropped.
+    let stalls: Vec<(u64, Duration)> = (0..shards as u64)
+        .map(|flush| (flush, Duration::from_millis(100)))
+        .collect();
+    let server = Server::spawn_chaotic(
         disthd_serve::testkit::tiny_deployment(),
-        BatchPolicy {
-            max_batch: 1024,
-            max_wait: Duration::from_secs(5),
-        },
-        shards,
+        BatchPolicy::window(1),
+        ServerOptions::sharded(shards),
+        Arc::new(ChaosPlan::none().and_stalls(&stalls)),
     );
     let client = server.client();
     let queries = disthd_serve::testkit::tiny_queries(8);
     let pending: Vec<Prediction> = queries.iter().map(|q| client.submit(q).unwrap()).collect();
     drop(server);
     for p in pending {
-        // The long patience window never elapses: the drain answers these.
         p.wait().expect("queued tickets are drained on drop");
     }
     let q = &queries[0];

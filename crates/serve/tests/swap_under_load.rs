@@ -1,5 +1,6 @@
-//! Concurrent swap-under-load: clients hammer a sharded [`Server`] while a
-//! writer cycles `install_model` / rollback through a [`SnapshotStore`].
+//! Concurrent swap-under-load: clients hammer a multi-worker [`Server`]
+//! while a writer cycles `install_model` / rollback through a
+//! [`SnapshotStore`].
 //!
 //! The epoch-publication contract under test (DESIGN.md §9):
 //!

@@ -53,8 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut snapshots = SnapshotStore::new(8);
     let v0 = snapshots.push(&deployed)?;
 
-    // Go live: two shard workers coalesce concurrent queries (window 32),
-    // each scoring its own batches against the epoch-published snapshot.
+    // Go live: two workers drain one queue, each coalescing what has
+    // queued (up to window 32) and scoring it against the epoch-published
+    // snapshot.
     let server = Server::spawn_sharded(deployed, BatchPolicy::window(32), 2);
     println!(
         "serving PAMAP2-like traffic: day-0 accuracy {:.2}%",
@@ -142,8 +143,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = server.shutdown()?;
     println!(
-        "\nserver lifetime: {} queries in {} batched passes ({} stolen, {} shed)",
-        stats.served, stats.flushes, stats.stolen_batches, stats.shed
+        "\nserver lifetime: {} queries in {} batched passes ({} shed)",
+        stats.served, stats.flushes, stats.shed
     );
     Ok(())
 }
