@@ -46,25 +46,17 @@ use std::sync::Arc;
 /// classify path already computes, so they inherit its batch-composition
 /// invariance; this struct holds the knobs they need, travels with the
 /// deployment through hot-swap and snapshot publication, and persists in
-/// the `DHD` artifact (format version `'3'`, written only when a task is
-/// actually configured — see [`crate::io`]).
+/// the task section of every `DHD` artifact (zero, one or two tasks — see
+/// [`crate::io`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServingTasks {
     /// Ranked classes returned by top-k serving requests (`None` = top-k
     /// requests fall back to `k = 1`, i.e. plain argmax in a vector).
     pub top_k: Option<usize>,
     /// Decision threshold of the one-class anomaly scorer: a query whose
-    /// best class cosine falls **below** this is flagged anomalous.
-    /// Calibrate with [`DeployedModel::calibrate_anomaly_threshold`].
+    /// best class cosine falls **below** this is flagged anomalous.  Set
+    /// with [`DeployedModel::set_tasks`], which requires it to be finite.
     pub anomaly_threshold: Option<f32>,
-}
-
-impl ServingTasks {
-    /// `true` when no task is configured (the artifact then persists in
-    /// its task-free pre-v3 format, byte-identical to older writers).
-    pub fn is_empty(&self) -> bool {
-        self.top_k.is_none() && self.anomaly_threshold.is_none()
-    }
 }
 
 /// A trained DistHD model frozen for low-precision edge deployment.
@@ -426,13 +418,22 @@ impl DeployedModel {
     ///
     /// Returns [`ModelError::Incompatible`] if `top_k` is configured as 0
     /// or exceeds the class count — a `k` outside `1..=classes` cannot
-    /// rank anything.
+    /// rank anything — or if `anomaly_threshold` is NaN or infinite, which
+    /// flags nothing coherently and which the artifact format cannot
+    /// store.
     pub fn set_tasks(&mut self, tasks: ServingTasks) -> Result<(), ModelError> {
         if let Some(k) = tasks.top_k {
             if k == 0 || k > self.class_count {
                 return Err(ModelError::Incompatible(format!(
                     "top-k of {k} is outside 1..={} classes",
                     self.class_count
+                )));
+            }
+        }
+        if let Some(threshold) = tasks.anomaly_threshold {
+            if !threshold.is_finite() {
+                return Err(ModelError::Incompatible(format!(
+                    "anomaly threshold {threshold} is not finite"
                 )));
             }
         }
@@ -548,43 +549,6 @@ impl DeployedModel {
         }
         let scores = self.quantized_cosines(queries)?;
         Ok(scores.iter_rows().map(max_score).collect())
-    }
-
-    /// Calibrates the one-class anomaly threshold from labelled
-    /// calibration batches: `inliers` should come from the training
-    /// distribution, `outliers` from outside it.  Both are scored with
-    /// [`DeployedModel::anomaly_scores`], an ROC curve is swept over the
-    /// pooled scores (`disthd_eval::roc`) and the threshold maximizing
-    /// Youden's J (`tpr − fpr`) is stored in [`ServingTasks`] and
-    /// returned.  A query scoring **below** the threshold is anomalous.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Incompatible`] if either batch is empty or
-    /// the scores cannot separate anything (degenerate ROC curve), or a
-    /// shape error for wrong-arity rows.
-    pub fn calibrate_anomaly_threshold(
-        &mut self,
-        inliers: &Matrix,
-        outliers: &Matrix,
-    ) -> Result<f32, ModelError> {
-        if inliers.rows() == 0 || outliers.rows() == 0 {
-            return Err(ModelError::Incompatible(
-                "anomaly calibration needs at least one inlier and one outlier".into(),
-            ));
-        }
-        let mut scores = self.anomaly_scores(inliers)?;
-        let mut labels = vec![true; scores.len()];
-        scores.extend(self.anomaly_scores(outliers)?);
-        labels.resize(scores.len(), false);
-        let curve = disthd_eval::roc_curve(&scores, &labels);
-        let threshold = disthd_eval::youden_threshold(&curve).ok_or_else(|| {
-            ModelError::Incompatible(
-                "anomaly calibration scores are degenerate (no separating threshold)".into(),
-            )
-        })?;
-        self.tasks.anomaly_threshold = Some(threshold);
-        Ok(threshold)
     }
 
     /// The integer-pipeline cosine matrix shared by the quantized top-k
@@ -971,9 +935,9 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_scores_separate_the_manifold_from_noise_and_calibrate() {
+    fn anomaly_scores_separate_the_manifold_from_noise() {
         let (model, data) = trained();
-        let mut deployed = DeployedModel::freeze(&model, BitWidth::B8).unwrap();
+        let deployed = DeployedModel::freeze(&model, BitWidth::B8).unwrap();
         let n = data.test.len().min(60);
         let all: Vec<usize> = (0..n).collect();
         let inliers = data.test.features().select_rows(&all);
@@ -991,22 +955,6 @@ mod tests {
             "inliers {:.3} vs outliers {:.3}",
             mean(&in_scores),
             mean(&out_scores)
-        );
-
-        // Youden calibration stores a threshold that actually separates.
-        let threshold = deployed
-            .calibrate_anomaly_threshold(&inliers, &outliers)
-            .unwrap();
-        assert_eq!(deployed.tasks().anomaly_threshold, Some(threshold));
-        let inlier_pass = in_scores.iter().filter(|&&s| s >= threshold).count();
-        let outlier_flagged = out_scores.iter().filter(|&&s| s < threshold).count();
-        assert!(
-            inlier_pass * 10 >= n * 8,
-            "only {inlier_pass}/{n} inliers pass"
-        );
-        assert!(
-            outlier_flagged * 10 >= n * 8,
-            "only {outlier_flagged}/{n} outliers flagged"
         );
 
         // Batch-composition invariance: a solo score equals the batched one.
@@ -1027,7 +975,7 @@ mod tests {
     fn task_configuration_validates_and_travels_with_swaps() {
         let (model, _) = trained();
         let mut deployed = DeployedModel::freeze(&model, BitWidth::B8).unwrap();
-        assert!(deployed.tasks().is_empty());
+        assert_eq!(deployed.tasks(), ServingTasks::default());
         // k outside 1..=classes is rejected.
         assert!(deployed
             .set_tasks(ServingTasks {
@@ -1046,21 +994,36 @@ mod tests {
             anomaly_threshold: Some(0.25),
         };
         deployed.set_tasks(tasks).unwrap();
-        assert!(!deployed.tasks().is_empty());
+        assert_eq!(deployed.tasks(), tasks);
         // Hot-swap derivation keeps the configuration.
         let derived = deployed
             .with_swapped_memory(deployed.memory_parts().clone())
             .unwrap();
         assert_eq!(derived.tasks(), tasks);
         assert_eq!(deployed.clone().tasks(), tasks);
-        // Calibration rejects empty batches.
-        let dim = model.encoder().input_dim();
-        assert!(deployed
-            .calibrate_anomaly_threshold(&Matrix::zeros(0, dim), &noise_queries(4, dim, 1))
-            .is_err());
-        assert!(deployed
-            .calibrate_anomaly_threshold(&noise_queries(4, dim, 1), &Matrix::zeros(0, dim))
-            .is_err());
+    }
+
+    #[test]
+    fn set_tasks_refuses_a_non_finite_anomaly_threshold() {
+        // The format stores only finite floats, so a threshold of NaN or
+        // ±∞ would save an artifact that never loads again.
+        let (model, _) = trained();
+        let mut deployed = DeployedModel::freeze(&model, BitWidth::B8).unwrap();
+        let kept = ServingTasks {
+            top_k: Some(2),
+            anomaly_threshold: Some(0.25),
+        };
+        deployed.set_tasks(kept).unwrap();
+        for threshold in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let err = deployed
+                .set_tasks(ServingTasks {
+                    top_k: None,
+                    anomaly_threshold: Some(threshold),
+                })
+                .unwrap_err();
+            assert!(matches!(err, ModelError::Incompatible(_)), "{threshold}");
+            assert_eq!(deployed.tasks(), kept, "{threshold}");
+        }
     }
 
     /// Checks every f32 scorer of `deployed` at 1, 3, 4 and 32 rows

@@ -8,8 +8,8 @@
 //!
 //! ```text
 //! magic  "DHD" + '4'       4 bytes
-//! embedded version         u8 ('5' when written; '1' | '2' | '3' load too)
-//! embedded body            the body of that version, verbatim
+//! embedded version         u8 ('5', the only body version)
+//! embedded body            the '5' body
 //! checksum                 u64 FNV-1a over ALL preceding bytes
 //!                              (magic and embedded version included)
 //! ```
@@ -42,38 +42,20 @@
 //!           payload        u32 k   |   f32 threshold
 //! ```
 //!
-//! ## Legacy bodies
-//!
-//! Earlier writers chose the body version by content; readers still load
-//! all three, bare (`"DHD" + version`, no trailer) or embedded in a `'4'`
-//! container:
-//!
-//! - `'1'`: the dense payload and the shared tail, with no kind byte and
-//!   no task section;
-//! - `'2'`: the kind byte, then the `'1'` payload (dense) or the
-//!   structured payload of that time: block dim, sign word count u32,
-//!   the backbone's sign words, phases, then an overlay section of
-//!   `m` u32 dims and `m*n` f32 base rows; no task section;
-//! - `'3'`: a `'2'` body followed by a task section of 1..=2 tasks.
-//!
-//! The structured encoder no longer has a dense overlay, so a structured
-//! legacy body with `m > 0` fails closed with
-//! [`PersistError::RetiredOverlay`]; with `m = 0` it loads as an encoder
-//! with no reserve lanes.
-//!
 //! ## Format evolution
 //!
-//! The fourth magic byte is the **format version**.  Readers accept exactly
-//! the versions they know: a stream that starts with `DHD` but carries an
-//! unknown version digit fails with [`PersistError::UnsupportedVersion`] —
-//! distinct from [`PersistError::BadMagic`] (not a DHD stream at all) so
-//! callers can tell "newer than me" from "garbage".  A `'5'` body exists
-//! only inside the container, so a bare `"DHD5"` is unsupported too.  The
+//! The fourth magic byte is the **format version**, and the loader accepts
+//! exactly one layout: `"DHD4"`, the embedded version `'5'`, the body and
+//! the trailer.  A stream that starts with `DHD` but carries any other
+//! version digit (the retired bare `'1'`–`'3'` streams, a bare `'5'`, or a
+//! newer format) fails with [`PersistError::UnsupportedVersion`] — distinct
+//! from [`PersistError::BadMagic`] (not a DHD stream at all) so callers can
+//! tell "not mine" from "garbage".  Any embedded version other than `'5'`
+//! is [`PersistError::Corrupt`] naming `embedded version`.  The
 //! container's trailer lets the loader fail closed: a
 //! structurally-parseable stream whose trailer does not match fails with
 //! [`PersistError::ChecksumMismatch`] before any caller sees the model.
-//! Bare legacy streams carry no trailer, so integrity there is best-effort
-//! structural validation only.  An unknown task kind fails closed
+//! An unknown task kind fails closed
 //! ([`PersistError::Corrupt`], naming the field) rather than silently
 //! serving a misconfigured task, and a non-finite float in any field is
 //! [`PersistError::Corrupt`] too.  See `DESIGN.md` §6/§8/§11/§13 for the
@@ -97,13 +79,6 @@ const MAGIC_PREFIX: &[u8; 3] = b"DHD";
 /// the vectors grow only as real payload bytes actually arrive, and a
 /// truncated stream fails with a named short-read error instead.
 const MAX_PREALLOC: usize = 1 << 20;
-/// Legacy dense body version: no kind byte, no task section.
-const VERSION_DENSE: u8 = b'1';
-/// Legacy kinded body version: structured bodies carry the dense overlay
-/// section.
-const VERSION_KINDED: u8 = b'2';
-/// Legacy tasked body version: a `'2'` body plus 1..=2 serving tasks.
-const VERSION_TASKED: u8 = b'3';
 /// Checksummed-container format version: an embedded body followed by a
 /// trailing FNV-1a hash over every preceding byte.  This is what every new
 /// artifact is written as.
@@ -115,7 +90,7 @@ const VERSION_RESERVE: u8 = b'5';
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Encoder-kind byte: dense RBF encoder (version-1 payload follows).
+/// Encoder-kind byte: dense RBF encoder.
 const ENCODER_KIND_DENSE: u8 = 0;
 /// Encoder-kind byte: structured Walsh–Hadamard RBF encoder.
 const ENCODER_KIND_STRUCTURED: u8 = 1;
@@ -146,13 +121,6 @@ pub enum PersistError {
         /// The checksum computed over the bytes actually read.
         computed: u64,
     },
-    /// A legacy structured body whose encoder carries a dense regeneration
-    /// overlay, a layout the structured encoder no longer has: the model
-    /// cannot be expressed, so it is never loaded.
-    RetiredOverlay {
-        /// The overlay dim count the body declares.
-        dims: usize,
-    },
 }
 
 impl fmt::Display for PersistError {
@@ -162,9 +130,8 @@ impl fmt::Display for PersistError {
             PersistError::BadMagic => write!(f, "not a DHD model stream (bad magic)"),
             PersistError::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported DHD format version {:?} (this reader understands versions {:?}–{:?})",
+                "unsupported DHD format version {:?} (this reader understands version {:?})",
                 char::from(*v),
-                char::from(VERSION_DENSE),
                 char::from(VERSION_CHECKSUMMED)
             ),
             PersistError::Corrupt(msg) => write!(f, "corrupt model stream: {msg}"),
@@ -172,11 +139,6 @@ impl fmt::Display for PersistError {
                 f,
                 "model stream checksum mismatch: trailer claims {stored:#018x}, \
                  bytes hash to {computed:#018x}"
-            ),
-            PersistError::RetiredOverlay { dims } => write!(
-                f,
-                "structured model carries a dense regeneration overlay of {dims} dims, \
-                 a layout this reader no longer loads (retrain and re-export it)"
             ),
         }
     }
@@ -341,13 +303,12 @@ fn read_header<R: Read>(reader: &mut R) -> Result<Header, PersistError> {
 /// # Errors
 ///
 /// * [`PersistError::BadMagic`] if the stream is not a `DHD` model;
-/// * [`PersistError::UnsupportedVersion`] for a DHD stream of a newer
-///   (or otherwise unknown) format version;
-/// * [`PersistError::Corrupt`] on inconsistent sizes, truncation or an
-///   unknown encoder kind, naming the offending field;
-/// * [`PersistError::RetiredOverlay`] for a legacy structured body with a
-///   dense regeneration overlay;
-/// * [`PersistError::ChecksumMismatch`] when a `'4'` container parses
+/// * [`PersistError::UnsupportedVersion`] for a DHD stream of any format
+///   version other than `'4'`;
+/// * [`PersistError::Corrupt`] on an embedded version other than `'5'`,
+///   inconsistent sizes, truncation or an unknown encoder kind, naming the
+///   offending field;
+/// * [`PersistError::ChecksumMismatch`] when the container parses
 ///   structurally but its trailing FNV-1a hash does not match the bytes
 ///   read (a flipped bit in storage — the model is withheld);
 /// * [`PersistError::Io`] on read failure.
@@ -357,76 +318,57 @@ pub fn load_deployed<R: Read>(mut reader: R) -> Result<DeployedModel, PersistErr
     if &magic[..3] != MAGIC_PREFIX {
         return Err(PersistError::BadMagic);
     }
-    match magic[3] {
-        VERSION_DENSE | VERSION_KINDED | VERSION_TASKED => {
-            load_body_for_version(magic[3], &mut reader)
-        }
-        VERSION_CHECKSUMMED => {
-            let mut embedded = [0u8; 1];
-            read_field_bytes(&mut reader, &mut embedded, "embedded version")?;
-            match embedded[0] {
-                VERSION_DENSE | VERSION_KINDED | VERSION_TASKED | VERSION_RESERVE => {}
-                other => {
-                    return Err(PersistError::Corrupt(format!(
-                        "field `embedded version`: unknown version {:?}",
-                        char::from(other)
-                    )))
-                }
-            }
-            // Hash while parsing: prime the hash with the already-consumed
-            // magic + embedded-version prefix, then every body byte the
-            // parsers read flows through the adapter.  Structural errors
-            // fire first (they surface during the parse, with their field
-            // names intact); a stream that parses cleanly but hashes wrong
-            // fails closed here.
-            let mut hashing = HashingReader {
-                hash: fnv1a_update(fnv1a_update(FNV_OFFSET, &magic), &embedded),
-                inner: &mut reader,
-            };
-            let model = load_body_for_version(embedded[0], &mut hashing)?;
-            let computed = hashing.hash;
-            let mut trailer = [0u8; 8];
-            read_field_bytes(&mut reader, &mut trailer, "checksum")?;
-            let stored = u64::from_le_bytes(trailer);
-            if stored != computed {
-                return Err(PersistError::ChecksumMismatch { stored, computed });
-            }
-            Ok(model)
-        }
-        version => Err(PersistError::UnsupportedVersion(version)),
+    if magic[3] != VERSION_CHECKSUMMED {
+        return Err(PersistError::UnsupportedVersion(magic[3]));
     }
+    let mut embedded = [0u8; 1];
+    read_field_bytes(&mut reader, &mut embedded, "embedded version")?;
+    if embedded[0] != VERSION_RESERVE {
+        return Err(PersistError::Corrupt(format!(
+            "field `embedded version`: unknown version {:?}",
+            char::from(embedded[0])
+        )));
+    }
+    // Hash while parsing: prime the hash with the already-consumed magic +
+    // embedded-version prefix, then every body byte the parsers read flows
+    // through the adapter.  Structural errors fire first (they surface
+    // during the parse, with their field names intact); a stream that
+    // parses cleanly but hashes wrong fails closed here.
+    let mut hashing = HashingReader {
+        hash: fnv1a_update(fnv1a_update(FNV_OFFSET, &magic), &embedded),
+        inner: &mut reader,
+    };
+    let model = load_body(&mut hashing)?;
+    let computed = hashing.hash;
+    let mut trailer = [0u8; 8];
+    read_field_bytes(&mut reader, &mut trailer, "checksum")?;
+    let stored = u64::from_le_bytes(trailer);
+    if stored != computed {
+        return Err(PersistError::ChecksumMismatch { stored, computed });
+    }
+    Ok(model)
 }
 
-/// Loads the body of a validated stream — everything after the version
-/// byte.  Callers have already matched `version` against the known set.
-fn load_body_for_version<R: Read>(
-    version: u8,
-    reader: &mut R,
-) -> Result<DeployedModel, PersistError> {
-    if version == VERSION_DENSE {
-        return load_dense_body(reader);
-    }
+/// Loads a `'5'` body: the encoder kind, that kind's payload, the shared
+/// tail and the task section.
+fn load_body<R: Read>(reader: &mut R) -> Result<DeployedModel, PersistError> {
     let mut kind = [0u8; 1];
     read_field_bytes(reader, &mut kind, "encoder kind")?;
     let mut model = match kind[0] {
         ENCODER_KIND_DENSE => load_dense_body(reader)?,
-        ENCODER_KIND_STRUCTURED => load_structured_body(reader, version)?,
+        ENCODER_KIND_STRUCTURED => load_structured_body(reader)?,
         other => {
             return Err(PersistError::Corrupt(format!(
                 "field `encoder kind`: unknown kind {other}"
             )))
         }
     };
-    match version {
-        VERSION_TASKED => load_task_section(reader, &mut model, 1)?,
-        VERSION_RESERVE => load_task_section(reader, &mut model, 0)?,
-        _ => {}
-    }
+    load_task_section(reader, &mut model)?;
     Ok(model)
 }
 
-/// Reads a serving-task section of `min_count..=2` tasks and installs it
-/// on `model`.
+/// Reads a serving-task section of `0..=2` tasks and installs it on
+/// `model`.
 ///
 /// Fails **closed**: an unknown task kind, a duplicate kind, an
 /// out-of-range count or an invalid payload is [`PersistError::Corrupt`]
@@ -435,12 +377,11 @@ fn load_body_for_version<R: Read>(
 fn load_task_section<R: Read>(
     reader: &mut R,
     model: &mut DeployedModel,
-    min_count: usize,
 ) -> Result<(), PersistError> {
     let count = read_u32(reader, "task count")? as usize;
-    if !(min_count..=2).contains(&count) {
+    if count > 2 {
         return Err(PersistError::Corrupt(format!(
-            "field `task count`: {count} tasks (this body carries {min_count}..=2)"
+            "field `task count`: {count} tasks (a body carries 0..=2)"
         )));
     }
     let mut tasks = crate::deploy::ServingTasks::default();
@@ -476,8 +417,7 @@ fn load_task_section<R: Read>(
         .map_err(|e| PersistError::Corrupt(format!("field `top-k task`: {e}")))
 }
 
-/// Reads the dense-encoder payload (everything after the magic / kind
-/// dispatch) — the version-1 layout.
+/// Reads the dense-encoder payload (everything after the kind byte).
 fn load_dense_body<R: Read>(reader: &mut R) -> Result<DeployedModel, PersistError> {
     let header = read_header(reader)?;
     let bases_len = header.n.checked_mul(header.dim).ok_or_else(|| {
@@ -492,13 +432,8 @@ fn load_dense_body<R: Read>(reader: &mut R) -> Result<DeployedModel, PersistErro
     load_shared_tail(reader, header, AnyRbfEncoder::Dense(encoder))
 }
 
-/// Reads the structured-encoder payload of a `version` body: reserve
-/// lanes in a `'5'` body, an overlay section (which must be empty) in a
-/// legacy `'2'`/`'3'` body.
-fn load_structured_body<R: Read>(
-    reader: &mut R,
-    version: u8,
-) -> Result<DeployedModel, PersistError> {
+/// Reads the structured-encoder payload (everything after the kind byte).
+fn load_structured_body<R: Read>(reader: &mut R) -> Result<DeployedModel, PersistError> {
     let header = read_header(reader)?;
     let block_dim = read_u32(reader, "block dim")? as usize;
     // Both construction modes are valid on load: the padded input size
@@ -512,22 +447,18 @@ fn load_structured_body<R: Read>(
                 header.n
             ))
         })?;
-    let lane_count = if version == VERSION_RESERVE {
-        let blocks = read_u32(reader, "reserve block count")? as usize;
-        let bound = StructuredRbfEncoder::reserve_lane_bound(header.dim, block_dim);
-        blocks
-            .checked_mul(block_dim)
-            .filter(|&lanes| lanes <= bound)
-            .ok_or_else(|| {
-                PersistError::Corrupt(format!(
-                    "field `reserve block count`: {blocks} blocks of {block_dim} lanes \
-                     exceed the {bound}-lane bound of a D={} model",
-                    header.dim
-                ))
-            })?
-    } else {
-        0
-    };
+    let blocks = read_u32(reader, "reserve block count")? as usize;
+    let bound = StructuredRbfEncoder::reserve_lane_bound(header.dim, block_dim);
+    let lane_count = blocks
+        .checked_mul(block_dim)
+        .filter(|&lanes| lanes <= bound)
+        .ok_or_else(|| {
+            PersistError::Corrupt(format!(
+                "field `reserve block count`: {blocks} blocks of {block_dim} lanes \
+                 exceed the {bound}-lane bound of a D={} model",
+                header.dim
+            ))
+        })?;
     let sign_words = lane_count
         .checked_mul(3)
         .and_then(|reserve| reserve.checked_add(backbone_signs))
@@ -535,15 +466,6 @@ fn load_structured_body<R: Read>(
         .ok_or_else(|| {
             PersistError::Corrupt("field `reserve block count`: sign count overflows".into())
         })?;
-    if version != VERSION_RESERVE {
-        let count = read_u32(reader, "sign word count")? as usize;
-        if count != sign_words {
-            return Err(PersistError::Corrupt(format!(
-                "field `sign word count`: {count} words for blocks of \
-                 {block_dim} (expected {sign_words})"
-            )));
-        }
-    }
     let mut signs = Vec::with_capacity(sign_words.min(MAX_PREALLOC));
     for _ in 0..sign_words {
         let mut buf = [0u8; 8];
@@ -552,31 +474,24 @@ fn load_structured_body<R: Read>(
     }
     let phases = read_f32_vec(reader, header.dim, "phases")?;
     let mut lanes = Vec::with_capacity(lane_count.min(MAX_PREALLOC));
-    if version == VERSION_RESERVE {
-        // Grows with the entries read, never with the untrusted D.
-        let mut named = BTreeSet::new();
-        for lane in 0..lane_count {
-            let dim = read_u32(reader, "reserve lanes")?;
-            if dim != StructuredRbfEncoder::FREE_LANE {
-                if dim as usize >= header.dim {
-                    return Err(PersistError::Corrupt(format!(
-                        "field `reserve lanes`: lane {lane} names dim {dim} of a D={} model",
-                        header.dim
-                    )));
-                }
-                if !named.insert(dim) {
-                    return Err(PersistError::Corrupt(format!(
-                        "field `reserve lanes`: lane {lane} names dim {dim} a second time"
-                    )));
-                }
+    // Grows with the entries read, never with the untrusted D.
+    let mut named = BTreeSet::new();
+    for lane in 0..lane_count {
+        let dim = read_u32(reader, "reserve lanes")?;
+        if dim != StructuredRbfEncoder::FREE_LANE {
+            if dim as usize >= header.dim {
+                return Err(PersistError::Corrupt(format!(
+                    "field `reserve lanes`: lane {lane} names dim {dim} of a D={} model",
+                    header.dim
+                )));
             }
-            lanes.push(dim);
+            if !named.insert(dim) {
+                return Err(PersistError::Corrupt(format!(
+                    "field `reserve lanes`: lane {lane} names dim {dim} a second time"
+                )));
+            }
         }
-    } else {
-        let dims = read_u32(reader, "overlay count")? as usize;
-        if dims > 0 {
-            return Err(PersistError::RetiredOverlay { dims });
-        }
+        lanes.push(dim);
     }
     let encoder = StructuredRbfEncoder::from_parts(
         header.n,
@@ -805,23 +720,11 @@ mod tests {
         (DeployedModel::freeze(&model, BitWidth::B4).unwrap(), data)
     }
 
-    /// The legacy `'1'` stream of a task-free dense deployment written as
-    /// `v4`: a dense `'5'` body is the kind byte, the `'1'` payload and
-    /// tail, and a task count of zero.
-    fn legacy_v1(v4: &[u8]) -> Vec<u8> {
-        assert_eq!(&v4[..6], b"DHD45\x00");
-        assert_eq!(v4[v4.len() - 12..v4.len() - 8], [0; 4], "task-free");
-        let mut legacy = b"DHD1".to_vec();
-        legacy.extend_from_slice(&v4[6..v4.len() - 12]);
-        legacy
-    }
-
     #[test]
-    fn every_deployment_embeds_a_version_five_body_and_legacy_bodies_load() {
-        // Dense models are written as '5' bodies too.  The body exists only
-        // inside the container, and the legacy '1' layout still loads
-        // identically.
-        let (original, data) = deployed();
+    fn every_deployment_embeds_a_version_five_body() {
+        // Dense models are written as '5' bodies too, and the body exists
+        // only inside the container: a bare "DHD5" is unsupported.
+        let (original, _) = deployed();
         let mut buffer = Vec::new();
         save_deployed(&original, &mut buffer).unwrap();
         assert_eq!(&buffer[..6], b"DHD45\x00");
@@ -832,15 +735,6 @@ mod tests {
             matches!(err, PersistError::UnsupportedVersion(b'5')),
             "{err}"
         );
-        let legacy = legacy_v1(&buffer);
-        let restored = load_deployed(legacy.as_slice()).unwrap();
-        for i in 0..data.test.len().min(20) {
-            assert_eq!(
-                original.predict(data.test.sample(i)).unwrap(),
-                restored.predict(data.test.sample(i)).unwrap(),
-                "sample {i}"
-            );
-        }
     }
 
     #[test]
@@ -938,26 +832,8 @@ mod tests {
     }
 
     #[test]
-    fn version_two_dense_kind_loads_like_version_one() {
-        // Splicing a dense-kind byte into a v1 stream must load the same
-        // model.
-        let (original, data) = deployed();
-        let mut buffer = Vec::new();
-        save_deployed(&original, &mut buffer).unwrap();
-        let legacy = legacy_v1(&buffer);
-        let mut v2 = Vec::with_capacity(legacy.len() + 1);
-        v2.extend_from_slice(b"DHD2\x00");
-        v2.extend_from_slice(&legacy[4..]);
-        let restored = load_deployed(v2.as_slice()).unwrap();
-        assert_eq!(
-            original.predict(data.test.sample(0)).unwrap(),
-            restored.predict(data.test.sample(0)).unwrap()
-        );
-    }
-
-    #[test]
     fn unknown_encoder_kind_is_corrupt_and_named() {
-        let err = load_deployed(&b"DHD2\x07..........."[..]).unwrap_err();
+        let err = load_deployed(&b"DHD45\x07.........."[..]).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("encoder kind"), "{err}");
     }
@@ -1039,7 +915,7 @@ mod tests {
     #[test]
     fn unsupported_width_is_corrupt() {
         let mut buffer = Vec::new();
-        buffer.extend_from_slice(b"DHD1");
+        buffer.extend_from_slice(b"DHD45\x00");
         for v in [4u32, 8, 2, 3] {
             buffer.extend_from_slice(&v.to_le_bytes()); // width bits = 3: invalid
         }
@@ -1051,11 +927,11 @@ mod tests {
 
     #[test]
     fn forged_giant_header_errors_instead_of_allocating() {
-        // A hostile 21-byte header claiming n = D = u32::MAX must fail with
+        // A hostile header claiming n = D = u32::MAX must fail with
         // a named error (overflow or short read) — not panic on capacity
         // overflow or attempt a multi-gigabyte allocation.
         let mut buffer = Vec::new();
-        buffer.extend_from_slice(b"DHD1");
+        buffer.extend_from_slice(b"DHD45\x00");
         for v in [u32::MAX, u32::MAX, 3u32, 4] {
             buffer.extend_from_slice(&v.to_le_bytes());
         }
@@ -1065,7 +941,7 @@ mod tests {
         // Large-but-representable counts run out of stream, naming the
         // field, after reading only the bytes that actually exist.
         let mut buffer = Vec::new();
-        buffer.extend_from_slice(b"DHD1");
+        buffer.extend_from_slice(b"DHD45\x00");
         for v in [1_000_000u32, 1_000_000, 3, 4] {
             buffer.extend_from_slice(&v.to_le_bytes());
         }
@@ -1077,7 +953,7 @@ mod tests {
     #[test]
     fn zero_sized_fields_are_named() {
         let mut buffer = Vec::new();
-        buffer.extend_from_slice(b"DHD1");
+        buffer.extend_from_slice(b"DHD45\x00");
         for v in [5u32, 16, 0, 4] {
             buffer.extend_from_slice(&v.to_le_bytes()); // k = 0
         }
@@ -1210,26 +1086,6 @@ mod tests {
             let err = load_deployed(buffer.as_slice()).unwrap_err();
             assert!(err.to_string().contains("task count"), "{forged}: {err}");
         }
-        // A dense '5' body is a legacy '3' body whose task count may be
-        // zero; the legacy version still requires at least one task.
-        let (original, _) = deployed();
-        let mut buffer = Vec::new();
-        save_deployed(&original, &mut buffer).unwrap();
-        let mut v3 = b"DHD3".to_vec();
-        v3.extend_from_slice(&buffer[5..buffer.len() - 8]);
-        let err = load_deployed(v3.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("task count"), "{err}");
-        let v3 = {
-            let mut stream = b"DHD3".to_vec();
-            let mut tasked_buffer = Vec::new();
-            save_deployed(&tasked(&original), &mut tasked_buffer).unwrap();
-            stream.extend_from_slice(&tasked_buffer[5..tasked_buffer.len() - 8]);
-            stream
-        };
-        assert_eq!(
-            load_deployed(v3.as_slice()).unwrap().tasks(),
-            tasked(&original).tasks()
-        );
     }
 
     #[test]
@@ -1288,13 +1144,11 @@ mod tests {
         let text = mismatch.to_string();
         assert!(text.contains("0x000000000000dead"), "{text}");
         assert!(text.contains("0x000000000000beef"), "{text}");
-        let retired = PersistError::RetiredOverlay { dims: 820 }.to_string();
-        assert!(retired.contains("overlay of 820 dims"), "{retired}");
     }
 
     #[test]
     fn concatenated_streams_load_sequentially() {
-        // The v4 loader reads exactly its body + trailer and no further, so
+        // The loader reads exactly its body + trailer and no further, so
         // back-to-back containers in one stream load one after the other.
         let (original, data) = deployed();
         let mut buffer = Vec::new();

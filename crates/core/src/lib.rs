@@ -44,7 +44,7 @@
 //! [`stream`] adds online learning over streaming mini-batches
 //! ([`DistHd::partial_fit`]), [`DeployedModel`] freezes a trained model at
 //! low precision for the edge, and [`io`] persists deployments in the
-//! versioned `DHD1` binary format that the `disthd_serve` crate loads and
+//! checksummed `DHD4` binary format that the `disthd_serve` crate loads and
 //! serves.
 
 #![deny(missing_docs)]
@@ -53,7 +53,6 @@ mod config;
 mod deploy;
 mod distance;
 pub mod io;
-pub mod merge;
 pub mod stream;
 mod top2;
 mod trainer;
@@ -62,7 +61,6 @@ pub use config::{DistHdConfig, WeightParams};
 pub use deploy::{DeployedModel, ServingTasks};
 pub use distance::{select_undesired_dims, DimensionScores};
 pub use disthd_hd::encoder::EncoderBackend;
-pub use merge::MergeStats;
-pub use stream::{ErrorFeedbackQuantizer, StreamConfig, StreamStats};
+pub use stream::{StreamConfig, StreamStats};
 pub use top2::{categorize, categorize_batch, Top2Outcome};
 pub use trainer::{DistHd, FitReport};

@@ -41,7 +41,6 @@ use disthd_eval::ModelError;
 use disthd_hd::center::EncodingCenter;
 use disthd_hd::encoder::{Encoder, RegenerativeEncoder};
 use disthd_hd::learn::adaptive_epoch;
-use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
 use disthd_hd::ClassModel;
 use disthd_linalg::{Matrix, SeededRng};
 use std::collections::VecDeque;
@@ -94,104 +93,6 @@ impl StreamStats {
             return 0.0;
         }
         1.0 - self.mistakes as f64 / self.samples as f64
-    }
-}
-
-/// Error-feedback state for quantization-aware streaming
-/// ([`DistHd::partial_fit_quantized`]).
-///
-/// Each [`ErrorFeedbackQuantizer::requantize`] call quantizes the current
-/// f32 class memory *plus* the residual left behind by the previous
-/// quantization, then stores the new residual (`target − decode(q)`,
-/// clamped to half a code step) for the next call.  Rounding error
-/// therefore never compounds across a stream of hot-swaps: a weight
-/// component that quantization keeps truncating accumulates in the
-/// residual until it crosses a code boundary and is emitted — the
-/// standard error-feedback compression loop, applied to the streamed
-/// class memory.  The half-step clamp keeps the loop a bounded dither:
-/// without it, 2-bit saturation error (values beyond `±1.5·mean_abs`
-/// have no representable code) would integrate without bound.
-///
-/// Feedback only engages at widths whose codes have a true rounding
-/// regime (`qmax > 1`, i.e. 4- and 8-bit).  Sign (1-bit) and ternary
-/// (2-bit) codes offer at most one magnitude level: feeding their
-/// quantization error back makes successive snapshots of a
-/// slowly-moving weight *oscillate* on its low-magnitude components
-/// (sign flips at 1 bit, 0 ↔ ±step at 2 bits) — correct as a time
-/// average, but every individually served snapshot is strictly worse
-/// than the plain one (measured: ~2 accuracy points lost on PAMAP2 at
-/// 2 bits).  `requantize` at [`BitWidth::B1`] and [`BitWidth::B2`]
-/// therefore matches [`QuantizedMatrix::quantize`] bit-for-bit and
-/// leaves the residual at zero.
-///
-/// The residual is reconstructed from the packed codes via the
-/// zero-dequantize read primitive, so the `dequantize_calls` counter
-/// stays untouched no matter how often the stream requantizes.
-#[derive(Debug, Clone)]
-pub struct ErrorFeedbackQuantizer {
-    width: BitWidth,
-    residual: Matrix,
-}
-
-impl ErrorFeedbackQuantizer {
-    /// Creates a quantizer targeting `width` with an empty residual (it is
-    /// sized lazily from the first class memory it sees).
-    pub fn new(width: BitWidth) -> Self {
-        Self {
-            width,
-            residual: Matrix::zeros(0, 0),
-        }
-    }
-
-    /// Target storage precision.
-    pub fn width(&self) -> BitWidth {
-        self.width
-    }
-
-    /// The quantization error carried into the next [`Self::requantize`]
-    /// call (all zeros until the first call).
-    pub fn residual(&self) -> &Matrix {
-        &self.residual
-    }
-
-    /// Quantizes `classes + residual` at the target width and retains the
-    /// new quantization error for the next call.
-    ///
-    /// The residual resets to zero if the class-memory shape changes
-    /// (e.g. a different model was swapped in mid-stream).
-    pub fn requantize(&mut self, classes: &Matrix) -> QuantizedMatrix {
-        let (rows, cols) = (classes.rows(), classes.cols());
-        if self.residual.rows() != rows || self.residual.cols() != cols {
-            self.residual = Matrix::zeros(rows, cols);
-        }
-        if self.width.qmax() <= 1 {
-            // Sign / ternary codes have no rounding regime to feed back:
-            // plain snapshot, zero residual (see type docs).
-            return QuantizedMatrix::quantize(classes, self.width);
-        }
-        // residual += classes: the residual buffer now holds the target.
-        for (t, &v) in self
-            .residual
-            .as_mut_slice()
-            .iter_mut()
-            .zip(classes.as_slice())
-        {
-            *t += v;
-        }
-        let q = QuantizedMatrix::quantize(&self.residual, self.width);
-        // residual = clamp(target − decode(q), ±half a code step), decoded
-        // straight off the packed words (scale-free codes × per-row scale)
-        // so `dequantize_calls` stays zero on this path.
-        let mut decoded = vec![0.0f32; cols];
-        for r in 0..rows {
-            let scale = q.scales()[r];
-            let half_step = 0.5 * scale;
-            q.unpack_row_segment(r, 0, &mut decoded);
-            for (t, &d) in self.residual.row_mut(r).iter_mut().zip(&decoded) {
-                *t = (*t - d * scale).clamp(-half_step, half_step);
-            }
-        }
-        q
     }
 }
 
@@ -291,14 +192,6 @@ impl DistHd {
                 "DistHD top-2 classification needs at least two classes".into(),
             ));
         }
-        if self.shard.is_some() {
-            return Err(ModelError::Incompatible(
-                "model is in exact shard-merge mode; adaptive partial_fit would \
-                 break merge exactness (use fit_shard, or refine_merged to leave \
-                 shard mode)"
-                    .into(),
-            ));
-        }
         crate::trainer::ensure_finite(batch)?;
         if batch.is_empty() {
             return Ok(StreamStats {
@@ -378,36 +271,6 @@ impl DistHd {
             mistakes,
             regenerated_dims,
         })
-    }
-
-    /// Consumes one labelled mini-batch and re-emits the class memory at
-    /// the quantizer's storage width, with error feedback.
-    ///
-    /// This is the streaming half of the end-to-end integer dataflow: the
-    /// learner keeps adapting in f32 (quantizing the *learning* state
-    /// would stall mistake-driven updates below the code resolution), but
-    /// every call hands back a freshly packed [`QuantizedMatrix`] ready to
-    /// hot-swap into a deployment via
-    /// [`crate::DeployedModel::swap_class_memory`] — and the quantization
-    /// error of each snapshot is carried into the next one by `feedback`,
-    /// so the served memory tracks the f32 stream instead of repeatedly
-    /// rounding it from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::NotFitted`] if called before any sample has
-    /// been consumed (an empty first batch trains nothing, so there is no
-    /// class memory to quantize), or any error from
-    /// [`DistHd::partial_fit_with`].
-    pub fn partial_fit_quantized(
-        &mut self,
-        batch: &Dataset,
-        cfg: &StreamConfig,
-        feedback: &mut ErrorFeedbackQuantizer,
-    ) -> Result<(StreamStats, QuantizedMatrix), ModelError> {
-        let stats = self.partial_fit_with(batch, cfg)?;
-        let model = self.model.as_ref().ok_or(ModelError::NotFitted)?;
-        Ok((stats, feedback.requantize(model.classes())))
     }
 
     /// Runs Algorithm 2 on the sliding window: categorize, score, and
@@ -596,213 +459,6 @@ mod tests {
                 dataset.name()
             );
         }
-    }
-
-    #[test]
-    fn error_feedback_requantize_carries_the_residual() {
-        let classes = Matrix::from_rows(&[
-            vec![0.3, -0.7, 0.11, 0.91],
-            vec![-0.02, 0.55, -0.44, 0.06],
-            vec![1.2, -0.9, 0.33, -0.21],
-        ])
-        .unwrap();
-
-        let mut fb = ErrorFeedbackQuantizer::new(BitWidth::B4);
-        assert_eq!(fb.width(), BitWidth::B4);
-
-        // First call sees a zero residual: it must equal a plain quantize,
-        // and the stored residual must be exactly target − decode.
-        let q1 = fb.requantize(&classes);
-        let plain = QuantizedMatrix::quantize(&classes, BitWidth::B4);
-        assert_eq!(q1.as_words(), plain.as_words());
-        assert_eq!(q1.scales(), plain.scales());
-        let decoded = q1.dequantize();
-        for r in 0..classes.rows() {
-            let half_step = 0.5 * q1.scales()[r];
-            for c in 0..classes.cols() {
-                let expected = (classes.row(r)[c] - decoded.row(r)[c]).clamp(-half_step, half_step);
-                let got = fb.residual().row(r)[c];
-                assert!(
-                    (expected - got).abs() < 1e-6,
-                    "residual[{r}][{c}] {got} vs {expected}"
-                );
-            }
-        }
-        assert!(
-            fb.residual().as_slice().iter().any(|&v| v != 0.0),
-            "4-bit quantization of these values must leave some error"
-        );
-
-        // Second call quantizes classes + residual: feeding the error back
-        // must shift at least one emitted code relative to plain
-        // requantization of the unchanged classes.
-        let q2 = fb.requantize(&classes);
-        assert_ne!(
-            q2.as_words(),
-            plain.as_words(),
-            "error feedback never moved a code"
-        );
-
-        // The residual stays bounded by half a code step per element: error
-        // feedback is a bounded dither, it does not integrate saturation
-        // error without bound.
-        for (r, &scale) in q2.scales().iter().enumerate() {
-            for &v in fb.residual().row(r) {
-                assert!(
-                    v.abs() <= 0.5 * scale * 1.0001,
-                    "residual {v} exceeds half a code step ({scale} step)"
-                );
-            }
-        }
-
-        // A shape change resets the residual instead of mixing stale state
-        // into the new model.
-        let smaller = Matrix::from_rows(&[vec![0.5, -0.5], vec![0.25, 0.75]]).unwrap();
-        let q3 = fb.requantize(&smaller);
-        let plain_small = QuantizedMatrix::quantize(&smaller, BitWidth::B4);
-        assert_eq!(q3.as_words(), plain_small.as_words());
-        assert_eq!(fb.residual().rows(), 2);
-        assert_eq!(fb.residual().cols(), 2);
-
-        // Sign (1-bit) and ternary (2-bit) snapshots are plain
-        // quantization every call: no feedback state, no oscillation
-        // (see the type docs).
-        for width in [BitWidth::B1, BitWidth::B2] {
-            let mut fb_coarse = ErrorFeedbackQuantizer::new(width);
-            let plain_coarse = QuantizedMatrix::quantize(&classes, width);
-            for _ in 0..3 {
-                let q = fb_coarse.requantize(&classes);
-                assert_eq!(q.as_words(), plain_coarse.as_words());
-                assert_eq!(q.scales(), plain_coarse.scales());
-                assert!(fb_coarse.residual().as_slice().iter().all(|&v| v == 0.0));
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_streaming_tracks_the_f32_stream() {
-        // Satellite acceptance bar: streaming with quantization-aware
-        // partial_fit must land the *served* (packed, integer-path)
-        // accuracy within one point of the f32 streamed baseline on two
-        // paper datasets.  (The zero-dequantize guarantee of this loop is
-        // regression-tested in the dedicated `no_dequantize` test binary,
-        // where no concurrent test can legitimately bump the counter.)
-        use crate::DeployedModel;
-
-        for (dataset, scale) in [
-            (PaperDataset::Diabetes, 0.002),
-            (PaperDataset::Pamap2, 0.005),
-        ] {
-            let data = small(dataset, scale);
-            let (dim, batch, epochs) = (256, 16, 8);
-
-            let mut streamed = DistHd::new(
-                config(dim, epochs),
-                data.train.feature_dim(),
-                data.train.class_count(),
-            );
-            let batches_per_pass = data.train.len().div_ceil(batch);
-            let cfg = StreamConfig {
-                window: data.train.len(),
-                regen_every: batches_per_pass * streamed.config().regen_interval,
-                warmup: data.train.len(),
-            };
-
-            let mut feedbacks: Vec<ErrorFeedbackQuantizer> = disthd_hd::quantize::BitWidth::all()
-                .into_iter()
-                .map(ErrorFeedbackQuantizer::new)
-                .collect();
-            let mut latest: Vec<Option<QuantizedMatrix>> = vec![None; feedbacks.len()];
-            for _ in 0..epochs {
-                for b in mini_batches(&data.train, batch) {
-                    // One f32 learner feeds every width's feedback loop:
-                    // the first quantizer rides partial_fit_quantized (the
-                    // single training step for this batch), the others
-                    // requantize the same post-update classes.
-                    let (head, tail) = feedbacks.split_first_mut().unwrap();
-                    let (_, q) = streamed.partial_fit_quantized(&b, &cfg, head).unwrap();
-                    latest[0] = Some(q);
-                    let classes = streamed.class_model().unwrap().classes();
-                    for (i, fb) in tail.iter_mut().enumerate() {
-                        latest[i + 1] = Some(fb.requantize(classes));
-                    }
-                }
-            }
-            let f32_acc = streamed.accuracy(&data.test).unwrap();
-
-            let mistakes_of = |deployed: &DeployedModel, integer_queries: bool| {
-                let predictions = if integer_queries {
-                    deployed
-                        .predict_quantized_batch(data.test.features())
-                        .unwrap()
-                } else {
-                    deployed.predict_batch(data.test.features()).unwrap()
-                };
-                predictions
-                    .iter()
-                    .zip(data.test.labels())
-                    .filter(|(p, l)| p != l)
-                    .count()
-            };
-            let f32_mistakes = ((1.0 - f32_acc) * data.test.len() as f64).round() as usize;
-            // "Within one accuracy point", with a floor of one sample so
-            // the bar stays meaningful on small scaled-down test splits.
-            let slack = ((0.01 * data.test.len() as f64).ceil() as usize).max(1);
-            for (fb, q) in feedbacks.iter().zip(latest) {
-                let q = q.unwrap();
-                let width = fb.width();
-                let plain = DeployedModel::freeze(&streamed, width).unwrap();
-                let deployed = plain.with_swapped_memory(q).unwrap();
-
-                // Bar 1 — the streamed memory itself: scoring f32-encoded
-                // queries against the error-feedback quantized memory must
-                // land within one accuracy point of the f32 stream at 4
-                // and 8 bits.  At 1 and 2 bits the feedback path IS plain
-                // quantization by design (no rounding regime to feed
-                // back), so it must match the plain freeze exactly.
-                let streamed_mistakes = mistakes_of(&deployed, false);
-                let cap = match width {
-                    BitWidth::B1 | BitWidth::B2 => mistakes_of(&plain, false),
-                    _ => f32_mistakes + slack,
-                };
-                assert!(
-                    streamed_mistakes <= cap,
-                    "{} @ {:?}: streamed memory {streamed_mistakes} mistakes vs cap {cap} \
-                     (f32 {f32_mistakes} of {})",
-                    dataset.name(),
-                    width,
-                    data.test.len()
-                );
-
-                // Bar 2 — the all-integer serving path (quantized queries
-                // AND memory): error feedback must never serve worse than
-                // a plain freeze at the same width.
-                let served_mistakes = mistakes_of(&deployed, true);
-                let plain_served = mistakes_of(&plain, true);
-                assert!(
-                    served_mistakes <= plain_served + slack,
-                    "{} @ {:?}: integer path {served_mistakes} mistakes vs plain {plain_served}",
-                    dataset.name(),
-                    width
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn partial_fit_quantized_before_any_sample_is_not_fitted() {
-        let data = small(PaperDataset::Diabetes, 0.001);
-        let mut model = DistHd::new(
-            config(128, 4),
-            data.train.feature_dim(),
-            data.train.class_count(),
-        );
-        let mut fb = ErrorFeedbackQuantizer::new(BitWidth::B4);
-        let empty = data.train.select(&[]);
-        assert!(matches!(
-            model.partial_fit_quantized(&empty, &StreamConfig::default(), &mut fb),
-            Err(ModelError::NotFitted)
-        ));
     }
 
     #[test]

@@ -60,9 +60,6 @@ pub struct DistHd {
     /// Sliding-window state of the online [`DistHd::partial_fit`] path
     /// (see [`crate::stream`]); `None` until the first streamed batch.
     pub(crate) stream: Option<crate::stream::StreamState>,
-    /// Fixed-point accumulator of the exact shard-merge path (see
-    /// [`crate::merge`]); `None` unless trained via [`DistHd::fit_shard`].
-    pub(crate) shard: Option<crate::merge::ShardState>,
 }
 
 impl DistHd {
@@ -88,7 +85,6 @@ impl DistHd {
             class_count,
             last_report: None,
             stream: None,
-            shard: None,
         }
     }
 
@@ -316,11 +312,10 @@ impl Classifier for DistHd {
         });
         self.model = Some(model);
         self.center = Some(center);
-        // A full batch fit supersedes any in-progress stream or shard
-        // accumulator: both would reference the pre-fit encoder and must
-        // not leak into later partial_fit / fit_shard calls.
+        // A full batch fit supersedes any in-progress stream: its window
+        // would reference the pre-fit encoder and must not leak into later
+        // partial_fit calls.
         self.stream = None;
-        self.shard = None;
         Ok(history)
     }
 
@@ -394,10 +389,6 @@ mod tests {
             let mut fitted = DistHd::new(config(), features, classes);
             expect_rejected(fitted.fit(&poisoned, None).map(drop));
             assert!(fitted.class_model().is_none());
-
-            let mut sharded = DistHd::new(config(), features, classes);
-            expect_rejected(sharded.fit_shard(&poisoned).map(drop));
-            assert!(sharded.shard_report().is_none());
 
             // A rejected batch leaves a streaming model bit-unchanged: same
             // state now, and the same state after one more clean batch.

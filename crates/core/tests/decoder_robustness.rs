@@ -1,21 +1,19 @@
 //! The DHD decoder on damaged input.
 //!
-//! Small artifacts are saved and fed back to [`load_deployed`] with fields
-//! overwritten, with bytes zeroed or saturated, and cut short after each
-//! of those damages:
-//! - a dense deployment and a structured one with reserve lanes and both
-//!   serving tasks, as the writer emits them: `'5'` bodies in the
-//!   checksummed `'4'` container;
-//! - the same dense deployment, and a structured one without reserve
-//!   lanes, as the bare legacy `'1'` and `'3'` streams earlier writers
-//!   produced.
+//! Two small artifacts — a dense deployment and a structured one with
+//! reserve lanes and both serving tasks — are saved as the writer emits
+//! them (`'5'` bodies in the checksummed `'4'` container) and fed back to
+//! [`load_deployed`] with fields overwritten, with bytes zeroed or
+//! saturated, with seeded runs of random bytes overwritten (half of them
+//! behind a recomputed trailer, so a mutant that still parses is served),
+//! and cut short after each of those damages.
 //!
 //! Every load must end in `Ok` or a named [`PersistError`], never a panic;
-//! every `Ok` model must answer `predict` and `predict_batch` without
-//! panicking; a non-finite float in any field, a reserve lane naming a dim
-//! out of range or twice, and a reserve larger than its bound must be
-//! rejected as corrupt, naming the field; and a legacy structured body with
-//! a dense overlay must fail closed.
+//! every `Ok` model must answer `predict`, `predict_batch`, `top_k_batch`
+//! and `anomaly_scores` without panicking; a non-finite float in any field,
+//! a reserve lane naming a dim out of range or twice, and a reserve larger
+//! than its bound must be rejected as corrupt, naming the field; and every
+//! retired version tag, bare or embedded, must be refused.
 
 use disthd::io::{load_deployed, save_deployed, PersistError};
 use disthd::{DeployedModel, ServingTasks};
@@ -71,17 +69,6 @@ fn written_artifacts() -> Vec<DeployedModel> {
     ]
 }
 
-/// The legacy counterparts: the dense deployment (a `'1'` stream) and a
-/// structured one with no reserve lanes and both tasks (a `'3'` stream).
-fn legacy_artifacts() -> Vec<DeployedModel> {
-    let dense = written_artifacts().swap_remove(0);
-    let structured = StructuredRbfEncoder::new(FEATURES, DIM, RngSeed(7));
-    vec![
-        dense,
-        with_both_tasks(deploy(AnyRbfEncoder::Structured(structured), BitWidth::B4)),
-    ]
-}
-
 /// One field of a stream: its loader name, its byte range, and the first
 /// f32 it holds when it is a float field.
 struct Field {
@@ -91,17 +78,10 @@ struct Field {
     first_float: Option<f32>,
 }
 
-/// Whether a stream is the written container or a bare legacy stream.
-#[derive(Clone, Copy, PartialEq)]
-enum Layout {
-    Container,
-    Legacy,
-}
-
-/// Every field of `model`'s `layout` stream, in stream order.  The caller
-/// asserts that the fields tile the stream exactly, so a layout change
-/// fails there rather than silently mutating the wrong bytes.
-fn fields(model: &DeployedModel, layout: Layout) -> Vec<Field> {
+/// Every field of `model`'s stream, in stream order.  The caller asserts
+/// that the fields tile the stream exactly, so a layout change fails there
+/// rather than silently mutating the wrong bytes.
+fn fields(model: &DeployedModel) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut at = 0;
     let mut push = |name, len: usize, first_float: Option<f32>| {
@@ -118,14 +98,9 @@ fn fields(model: &DeployedModel, layout: Layout) -> Vec<Field> {
     let memory = model.memory_parts();
     let (k, dim) = memory.shape();
     let tasks = model.tasks();
-    let container = layout == Layout::Container;
     push("magic", 4, None);
-    if container {
-        push("embedded version", 1, None);
-    }
-    if container || encoder.as_structured().is_some() || !tasks.is_empty() {
-        push("encoder kind", 1, None);
-    }
+    push("embedded version", 1, None);
+    push("encoder kind", 1, None);
     for name in [
         "feature count n",
         "dimensionality D",
@@ -142,18 +117,10 @@ fn fields(model: &DeployedModel, layout: Layout) -> Vec<Field> {
         }
         AnyRbfEncoder::Structured(e) => {
             push("block dim", 4, None);
-            if container {
-                push("reserve block count", 4, None);
-            } else {
-                push("sign word count", 4, None);
-            }
+            push("reserve block count", 4, None);
             push("sign words", 8 * e.packed_signs().len(), None);
             push("phases", 4 * dim, Some(e.phases()[0]));
-            if container {
-                push("reserve lanes", 4 * e.reserve_lanes().len(), None);
-            } else {
-                push("overlay count", 4, None);
-            }
+            push("reserve lanes", 4 * e.reserve_lanes().len(), None);
         }
     }
     push(
@@ -164,133 +131,48 @@ fn fields(model: &DeployedModel, layout: Layout) -> Vec<Field> {
     push("memory scales", 4 * k, Some(memory.scales()[0]));
     push("memory word count", 4, None);
     push("memory words", 8 * memory.as_words().len(), None);
-    if container || !tasks.is_empty() {
-        push("task count", 4, None);
-        if tasks.top_k.is_some() {
-            push("task kind", 1, None);
-            push("top-k task", 4, None);
-        }
-        if let Some(threshold) = tasks.anomaly_threshold {
-            push("task kind", 1, None);
-            push("anomaly threshold task", 4, Some(threshold));
-        }
+    push("task count", 4, None);
+    if tasks.top_k.is_some() {
+        push("task kind", 1, None);
+        push("top-k task", 4, None);
     }
-    if container {
-        push("checksum", 8, None);
+    if let Some(threshold) = tasks.anomaly_threshold {
+        push("task kind", 1, None);
+        push("anomaly threshold task", 4, Some(threshold));
     }
+    push("checksum", 8, None);
     fields
-}
-
-/// Writes `model` the way the last writer of its legacy version did: `'1'`
-/// for a task-free dense model, `'2'` for a task-free structured one, `'3'`
-/// with tasks.  A structured model carries `overlay_dims` as its overlay
-/// section, each with a base row of `0.5`s.
-fn legacy_stream(model: &DeployedModel, overlay_dims: &[u32]) -> Vec<u8> {
-    let encoder = model.encoder_parts();
-    let tasks = model.tasks();
-    let (k, dim) = model.memory_parts().shape();
-    let mut out = b"DHD".to_vec();
-    let u32s = |out: &mut Vec<u8>, values: &[u32]| {
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    };
-    let f32s = |out: &mut Vec<u8>, values: &[f32]| {
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    };
-    match (encoder, tasks.is_empty()) {
-        (AnyRbfEncoder::Dense(_), true) => out.push(b'1'),
-        (_, true) => out.push(b'2'),
-        (_, false) => out.push(b'3'),
-    }
-    if out[3] != b'1' {
-        out.push(u8::from(encoder.as_structured().is_some()));
-    }
-    let n = encoder.input_dim();
-    u32s(
-        &mut out,
-        &[n as u32, dim as u32, k as u32, model.width().bits() as u32],
-    );
-    f32s(&mut out, &[encoder.base_std()]);
-    match encoder {
-        AnyRbfEncoder::Dense(e) => {
-            f32s(&mut out, e.bases().to_matrix().as_slice());
-            f32s(&mut out, e.phases());
-        }
-        AnyRbfEncoder::Structured(e) => {
-            assert!(
-                e.reserve_lanes().is_empty(),
-                "legacy bodies have no reserve"
-            );
-            let words = e.packed_signs();
-            u32s(&mut out, &[e.block_dim() as u32, words.len() as u32]);
-            for w in words {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            f32s(&mut out, e.phases());
-            u32s(&mut out, &[overlay_dims.len() as u32]);
-            u32s(&mut out, overlay_dims);
-            f32s(&mut out, &vec![0.5; overlay_dims.len() * n]);
-        }
-    }
-    f32s(&mut out, model.center_parts().means());
-    f32s(&mut out, model.memory_parts().scales());
-    let words = model.memory_parts().as_words();
-    u32s(&mut out, &[words.len() as u32]);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    if !tasks.is_empty() {
-        let count = u32::from(tasks.top_k.is_some()) + u32::from(tasks.anomaly_threshold.is_some());
-        u32s(&mut out, &[count]);
-        if let Some(top) = tasks.top_k {
-            out.push(0);
-            u32s(&mut out, &[top as u32]);
-        }
-        if let Some(threshold) = tasks.anomaly_threshold {
-            out.push(1);
-            f32s(&mut out, &[threshold]);
-        }
-    }
-    out
 }
 
 /// Every stream the sweeps damage, with its label and its fields.
 fn streams() -> Vec<(String, Vec<u8>, Vec<Field>)> {
-    let mut streams = Vec::new();
-    for model in written_artifacts() {
-        let mut bytes = Vec::new();
-        save_deployed(&model, &mut bytes).expect("save");
-        assert_eq!(&bytes[..5], b"DHD45");
-        streams.push((Layout::Container, model, bytes));
-    }
-    for model in legacy_artifacts() {
-        let bytes = legacy_stream(&model, &[]);
-        streams.push((Layout::Legacy, model, bytes));
-    }
-    streams
+    written_artifacts()
         .into_iter()
-        .map(|(layout, model, bytes)| {
-            let fields = fields(&model, layout);
+        .map(|model| {
+            let mut bytes = Vec::new();
+            save_deployed(&model, &mut bytes).expect("save");
+            assert_eq!(&bytes[..5], b"DHD45");
+            let fields = fields(&model);
             let end = fields.last().map_or(0, |f| f.offset + f.len);
             assert_eq!(end, bytes.len(), "the fields tile the stream");
             let restored = load_deployed(bytes.as_slice()).expect("the undamaged stream loads");
             assert_eq!(restored.tasks(), model.tasks());
-            let label = format!(
-                "{} DHD{}",
-                model.encoder_parts().backend(),
-                bytes[3] as char
-            );
-            (label, bytes, fields)
+            (model.encoder_parts().backend().to_string(), bytes, fields)
         })
         .collect()
 }
 
+/// FNV-1a 64 over `bytes`: the container's trailer.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Loads `bytes`, returning the error if any: a corrupt stream must name
 /// its field, and an `Ok` model must answer a single and a batched
-/// prediction (their results, `Ok` or not, are not judged).
+/// prediction, a top-k ranking and anomaly scores (their results, `Ok` or
+/// not, are not judged).
 fn load_and_serve(bytes: &[u8]) -> Option<PersistError> {
     let model = match load_deployed(bytes) {
         Ok(model) => model,
@@ -305,6 +187,8 @@ fn load_and_serve(bytes: &[u8]) -> Option<PersistError> {
     let queries = Matrix::from_fn(2, n, |r, c| ((r * n + c) as f32 * 0.37).sin());
     let _ = model.predict(queries.row(0));
     let _ = model.predict_batch(&queries);
+    let _ = model.top_k_batch(&queries, 2);
+    let _ = model.anomaly_scores(&queries);
     None
 }
 
@@ -381,7 +265,7 @@ fn mutated_and_truncated_streams_load_or_fail_with_a_named_error_and_never_panic
             loads += load_truncated_without_panic(&damaged, at + patch.len(), &what);
         }
     }
-    assert!(loads > 50_000, "{loads} loads");
+    assert!(loads > 25_000, "{loads} loads");
 }
 
 #[test]
@@ -389,7 +273,7 @@ fn forged_reserve_lanes_and_block_counts_are_corrupt_and_named() {
     let model = written_artifacts().swap_remove(1);
     let mut stream = Vec::new();
     save_deployed(&model, &mut stream).expect("save");
-    let fields = fields(&model, Layout::Container);
+    let fields = fields(&model);
     let field = |name| fields.iter().find(|f| f.name == name).expect("field");
     let expect_corrupt = |damaged: &[u8], name: &str, what: &str| {
         match load_and_serve(damaged) {
@@ -426,34 +310,64 @@ fn forged_reserve_lanes_and_block_counts_are_corrupt_and_named() {
 }
 
 #[test]
-fn legacy_structured_bodies_with_a_dense_overlay_fail_closed() {
-    let task_free = deploy(
-        AnyRbfEncoder::Structured(StructuredRbfEncoder::new(FEATURES, DIM, RngSeed(7))),
-        BitWidth::B4,
-    );
-    let empty = legacy_stream(&task_free, &[]);
-    assert_eq!(&empty[..5], b"DHD2\x01");
-    let loaded = load_deployed(empty.as_slice()).expect("an empty overlay loads");
-    let query = [0.3, -0.1, 0.0, 0.8, 0.25, -0.6, 0.4];
-    assert_eq!(
-        loaded.decision_scores(&query).unwrap(),
-        task_free.decision_scores(&query).unwrap()
-    );
-    for model in [task_free, legacy_artifacts().swap_remove(1)] {
-        let bare = legacy_stream(&model, &[3, 40]);
-        // The same body inside a checksummed container.
-        let mut container = b"DHD4".to_vec();
-        container.extend_from_slice(&bare[3..]);
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &container {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        container.extend_from_slice(&hash.to_le_bytes());
-        for stream in [bare, container] {
-            match load_deployed(stream.as_slice()) {
-                Err(PersistError::RetiredOverlay { dims: 2 }) => {}
-                other => panic!("{:?}: {:?}", &stream[..5], other.map(|_| "a model")),
+fn seeded_multi_byte_mutants_load_or_fail_with_a_named_error_and_never_panic() {
+    const MUTANTS: usize = 1500;
+    let mut rng = SeededRng::new(RngSeed(0xD4D5));
+    let (mut served, mut mismatched) = (0usize, 0usize);
+    for (label, stream, _) in streams() {
+        for mutant in 0..MUTANTS {
+            let mut damaged = stream.clone();
+            let count = 2 + rng.next_index(15);
+            for _ in 0..count {
+                let at = rng.next_index(damaged.len());
+                damaged[at] = rng.next_u64() as u8;
             }
+            let resealed = mutant % 2 == 1;
+            if resealed {
+                let body = damaged.len() - 8;
+                let trailer = fnv1a(&damaged[..body]).to_le_bytes();
+                damaged[body..].copy_from_slice(&trailer);
+            }
+            let what = format!("{label} mutant {mutant} ({count} bytes, resealed {resealed})");
+            match catch_unwind(AssertUnwindSafe(|| load_and_serve(&damaged))) {
+                Err(_) => panic!("{what}: panicked"),
+                Ok(None) => served += 1,
+                Ok(Some(PersistError::ChecksumMismatch { .. })) => mismatched += 1,
+                Ok(Some(_)) => {}
+            }
+        }
+    }
+    // The resealed half reaches the model: some mutants of payload bytes
+    // parse and are served; the other half fails at the trailer.
+    assert!(served > 0, "no resealed mutant was served");
+    assert!(mismatched > MUTANTS / 2, "{mismatched} checksum mismatches");
+}
+
+#[test]
+fn every_retired_version_tag_is_refused_bare_or_embedded() {
+    let model = written_artifacts().swap_remove(1);
+    let mut stream = Vec::new();
+    save_deployed(&model, &mut stream).expect("save");
+    let body = &stream[5..stream.len() - 8];
+    for tag in [b'1', b'2', b'3'] {
+        let mut bare = b"DHD".to_vec();
+        bare.push(tag);
+        bare.extend_from_slice(body);
+        match load_deployed(bare.as_slice()) {
+            Err(PersistError::UnsupportedVersion(v)) => assert_eq!(v, tag),
+            other => panic!("bare {tag}: {:?}", other.map(|_| "a model")),
+        }
+        // The same body embedded in a container with a valid trailer.
+        let mut embedded = b"DHD4".to_vec();
+        embedded.push(tag);
+        embedded.extend_from_slice(body);
+        let trailer = fnv1a(&embedded);
+        embedded.extend_from_slice(&trailer.to_le_bytes());
+        match load_deployed(embedded.as_slice()) {
+            Err(PersistError::Corrupt(msg)) => {
+                assert!(msg.contains("embedded version"), "{tag}: {msg}")
+            }
+            other => panic!("embedded {tag}: {:?}", other.map(|_| "a model")),
         }
     }
 }

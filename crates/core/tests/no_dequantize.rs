@@ -6,16 +6,15 @@
 //! binary with any test that legitimately dequantizes (robustness studies,
 //! round-trip tests) would race the counter.
 
-use disthd::{DeployedModel, DistHd, DistHdConfig, ErrorFeedbackQuantizer, StreamConfig};
+use disthd::{DeployedModel, DistHd, DistHdConfig};
 use disthd_datasets::suite::{PaperDataset, SuiteConfig};
 use disthd_eval::Classifier;
 use disthd_hd::quantize::{dequantize_calls, BitWidth, QuantizedMatrix};
 use disthd_linalg::{Matrix, RngSeed, SeededRng};
 
 /// Construct, hot-swap, fault injection, single predict, batched predict,
-/// fully-integer batched predict, decision scores, quantization-aware
-/// streaming, persistence round-trip: none of it may reconstruct an `f32`
-/// class matrix, at any storage width.
+/// fully-integer batched predict, decision scores, persistence round-trip:
+/// none of it may reconstruct an `f32` class matrix, at any storage width.
 #[test]
 fn serving_path_performs_zero_dequantize_calls() {
     let data = PaperDataset::Diabetes
@@ -58,29 +57,6 @@ fn serving_path_performs_zero_dequantize_calls() {
             QuantizedMatrix::quantize(model.class_model().expect("fitted").classes(), width);
         deployed.swap_class_memory(requantized).expect("swap");
         deployed.predict(data.test.sample(0)).expect("post-swap");
-
-        // Quantization-aware streaming: partial_fit with error feedback
-        // re-emits packed snapshots that hot-swap into the deployment,
-        // and the residual bookkeeping decodes straight off the packed
-        // words — never through dequantize().
-        let mut learner = model.clone();
-        let mut feedback = ErrorFeedbackQuantizer::new(width);
-        let stream_cfg = StreamConfig {
-            window: 64,
-            regen_every: 0,
-            warmup: 0,
-        };
-        for start in (0..data.train.len().min(48)).step_by(16) {
-            let idx: Vec<usize> = (start..(start + 16).min(data.train.len())).collect();
-            let batch = data.train.select(&idx);
-            let (_, snapshot) = learner
-                .partial_fit_quantized(&batch, &stream_cfg, &mut feedback)
-                .expect("partial_fit_quantized");
-            deployed.swap_class_memory(snapshot).expect("stream swap");
-            deployed
-                .predict_quantized_batch(&query_batch)
-                .expect("post-stream-swap predict");
-        }
 
         // Fault injection reads/writes the packed words in place.
         let mut rng = SeededRng::new(RngSeed(3));

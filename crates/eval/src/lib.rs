@@ -32,7 +32,7 @@ pub use metrics::{
 };
 pub use model::{Classifier, EpochRecord, ModelError, TrainingHistory};
 pub use robustness::{QualityLoss, RobustnessPoint};
-pub use roc::{auc, roc_curve, youden_threshold, RocPoint};
+pub use roc::{auc, roc_curve, RocPoint};
 pub use stats::{speedup, TrialSummary};
 pub use stream::{PrequentialTrace, StreamingAccuracy};
 pub use timing::{time_it, Timed};

@@ -87,63 +87,9 @@ pub fn auc(curve: &[RocPoint]) -> f64 {
     area
 }
 
-/// The operating point maximizing Youden's J statistic (`tpr − fpr`) —
-/// the standard single-threshold summary of an ROC curve, used to
-/// calibrate one-class anomaly detectors from inlier/outlier scores.
-///
-/// Returns the finite threshold of the best interior point, or `None` if
-/// the curve has no interior points (degenerate single-class input: only
-/// the `±∞` endpoints exist and no threshold separates anything).  Ties
-/// in J resolve to the earlier (higher-threshold, lower-FPR) point.
-pub fn youden_threshold(curve: &[RocPoint]) -> Option<f32> {
-    curve
-        .iter()
-        .filter(|p| p.threshold.is_finite())
-        .map(|p| (p.tpr - p.fpr, p.threshold))
-        .fold(None, |best: Option<(f64, f32)>, (j, t)| match best {
-            Some((bj, _)) if bj >= j => best,
-            _ => Some((j, t)),
-        })
-        .map(|(_, t)| t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn youden_picks_the_separating_threshold() {
-        // Positives score {0.9, 0.8}, negatives {0.2, 0.1}: the best
-        // operating point accepts exactly the positives, so J peaks at the
-        // lowest positive score.
-        let scores = [0.9, 0.8, 0.2, 0.1];
-        let labels = [true, true, false, false];
-        let t = youden_threshold(&roc_curve(&scores, &labels)).unwrap();
-        assert_eq!(t, 0.8);
-        // Classify by `score >= t`: perfect split.
-        for (s, l) in scores.iter().zip(labels) {
-            assert_eq!(*s >= t, l);
-        }
-    }
-
-    #[test]
-    fn youden_trades_off_overlapping_classes() {
-        // One negative outscores one positive; the J-optimal point still
-        // separates the bulk (accept 0.9/0.7/0.6, reject 0.3/0.2).
-        let scores = [0.9, 0.7, 0.3, 0.6, 0.2];
-        let labels = [true, true, true, false, false];
-        let t = youden_threshold(&roc_curve(&scores, &labels)).unwrap();
-        assert_eq!(t, 0.7);
-    }
-
-    #[test]
-    fn youden_is_none_on_degenerate_curves() {
-        assert_eq!(
-            youden_threshold(&roc_curve(&[0.5, 0.6], &[true, true])),
-            None
-        );
-        assert_eq!(youden_threshold(&[]), None);
-    }
 
     #[test]
     fn perfect_ranker_has_auc_one() {

@@ -559,7 +559,7 @@ impl Matrix {
 
     /// Scalar reference matmul — the pre-backend ikj loop with the sparse
     /// `a == 0` skip, kept verbatim as the ground truth for kernel parity
-    /// tests and as the "pre-PR" baseline of the throughput benchmark.
+    /// tests.
     ///
     /// # Errors
     ///

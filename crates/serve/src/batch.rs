@@ -21,7 +21,7 @@ pub enum TaskKind {
     /// hot-swap retunes queued rankings coherently with the memory that
     /// scores them), falling back to `k = 1`.
     TopK,
-    /// One-class anomaly scoring against the live model's calibrated
+    /// One-class anomaly scoring against the live model's configured
     /// [`disthd::ServingTasks::anomaly_threshold`].
     Anomaly,
 }
@@ -32,9 +32,9 @@ pub enum TaskKind {
 pub struct AnomalyVerdict {
     /// Best class cosine in `[-1, 1]` (higher = more inlier-like).
     pub score: f32,
-    /// `score < threshold` under the model's calibrated threshold;
-    /// always `false` when the model carries no threshold (an
-    /// uncalibrated deployment flags nothing rather than guessing).
+    /// `score < threshold` under the model's configured threshold;
+    /// always `false` when the model carries no threshold (a deployment
+    /// without one flags nothing rather than guessing).
     pub anomalous: bool,
 }
 

@@ -9,7 +9,7 @@
 //!   window).
 //! * [`TaskKind`] / [`TaskResponse`] — serving **task types** on the same
 //!   batched path: plain classification, top-k multi-label ranking, and
-//!   one-class anomaly scoring against a calibrated similarity threshold
+//!   one-class anomaly scoring against a configured similarity threshold
 //!   (see `disthd::ServingTasks`).  Mixed batches are partitioned by kind
 //!   at flush time, so no answer ever depends on batch composition.
 //! * [`Server`] / [`ServerClient`] — the live server: N worker threads

@@ -411,8 +411,8 @@ impl ServerClient {
 
     /// Scores one feature vector for one-class anomaly detection,
     /// blocking until its coalesced batch has been scored.  The verdict
-    /// thresholds against the live snapshot's calibrated
-    /// [`disthd::ServingTasks::anomaly_threshold`]; an uncalibrated model
+    /// thresholds against the live snapshot's configured
+    /// [`disthd::ServingTasks::anomaly_threshold`]; a model without one
     /// still returns the exact score but flags nothing.
     ///
     /// # Errors
@@ -1280,7 +1280,7 @@ mod tests {
         let pending = client.submit_task(&q, TaskKind::TopK).unwrap();
         assert!(matches!(pending.wait(), Err(ServeError::Model(_))));
         // Blocking conveniences on an unconfigured model: k defaults to 1
-        // and an uncalibrated threshold flags nothing.
+        // and a missing threshold flags nothing.
         assert_eq!(client.rank(&q).unwrap().len(), 1);
         assert!(!client.score_anomaly(&q).unwrap().anomalous);
         server.shutdown().unwrap();
@@ -1290,7 +1290,7 @@ mod tests {
     fn hot_swap_retunes_task_configuration_at_the_batch_boundary() {
         // Task configuration travels with the published snapshot: after an
         // install, queued-after requests are ranked with the new k and
-        // thresholded by the new calibration — never a mix of generations.
+        // thresholded by the new threshold — never a mix of generations.
         let deployment = testkit::tiny_deployment();
         let mut retuned = deployment.clone();
         retuned

@@ -39,7 +39,7 @@
 //! use disthd_repro::prelude::*;
 //! use disthd_serve::testkit;
 //!
-//! // Load a DHD1 artifact (or wrap a freshly frozen DeployedModel).
+//! // Load a DHD artifact (or wrap a freshly frozen DeployedModel).
 //! let deployment = testkit::tiny_deployment();
 //! let mut snapshots = SnapshotStore::new(8);
 //! let v0 = snapshots.push(&deployment)?;
